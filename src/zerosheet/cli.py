@@ -45,6 +45,8 @@ EXIT_NO_BLUR = 3
 EXIT_PARTIAL = 4
 
 log = logging.getLogger("zerosheet.cli")
+# Name of the stderr handler that ZEROSHEET_LOG puts on the zerosheet logger.
+_LOG_HANDLER = "zerosheet.stderr"
 
 _DEFAULTS: dict[str, object] = {
     "base_phase": 0.3,
@@ -510,13 +512,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
+    """Configure the ``zerosheet`` logger from ``ZEROSHEET_LOG``.
+
+    Runs on every ``main`` call, so each call follows the variable as it is
+    then.  The root logger is left alone; the ``zerosheet`` logger carries
+    at most one stderr handler of ours.
+    """
+    logger = logging.getLogger("zerosheet")
+    for handler in [h for h in logger.handlers if h.get_name() == _LOG_HANDLER]:
+        logger.removeHandler(handler)
     level = os.environ.get("ZEROSHEET_LOG", "off").strip().lower()
-    if level in ("info", "debug"):
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.INFO if level == "info" else logging.DEBUG,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+    if level not in ("info", "debug"):
+        logger.setLevel(logging.NOTSET)
+        return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name(_LOG_HANDLER)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO if level == "info" else logging.DEBUG)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,9 +13,14 @@ certifies that the tracked roots belong to an actual m x n blur, and the
 corresponding null vector holds its entries.
 
 The search enumerates all combinations of n - 1 base-point roots in
-lexicographic order, tracks each across the sample points by injective
-nearest-neighbour matching (halving the phase step when matching turns
-ambiguous), and reports every evaluated candidate.
+lexicographic order and reports every evaluated candidate.  Tracking
+depends on single roots, so it runs once per root rather than once per
+combination: every base root is followed across the sample points by
+nearest-neighbour matching, and a combination tracks when each of its roots
+matches unambiguously at every step and no two of them end on the same
+root.  A combination that does not track is tried again on finer chains,
+each halving the phase step of the one before; a finer chain reuses every
+slice of the coarser one and solves only the new midpoints.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ import enum
 import itertools
 import logging
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,7 +73,9 @@ __all__ = [
 
 log = logging.getLogger("zerosheet.search")
 
-# How often the phase step may be halved when tracking turns ambiguous.
+# Finer tracking chains beyond the sample points themselves: chain L halves
+# the phase step of chain L - 1, reusing its slices and solving only the
+# midpoints between them.
 _MAX_HALVINGS = 4
 # Replacement attempts per sample point before sampling fails.
 _MAX_REPLACEMENTS = 8
@@ -248,44 +253,28 @@ def choose_sample_points(q: int, cfg: SearchConfig, P: BivariatePoly) -> list[Sa
     return points
 
 
-def _match_selected(
-    prev_roots: np.ndarray,
-    next_roots: np.ndarray,
-    selected: tuple[int, ...],
+def _match(
+    sources: np.ndarray,
+    targets: np.ndarray,
     tol_track_ratio: float,
-) -> tuple[tuple[int, ...], float]:
-    """Injective nearest-neighbour matching of the selected roots.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-neighbour match of every source root among the targets.
 
-    Returns the matched indices into ``next_roots`` (selected order
-    preserved) and the worst ambiguity ratio d_best / d_second seen.
+    Returns, per source root, the index of its nearest target, the
+    ambiguity ratio d_best / d_second (0 when there is no second target),
+    and whether the match passes: it fails when the second-nearest target
+    lies at distance 0 or the ratio exceeds ``tol_track_ratio``.
     """
-    used: set[int] = set()
-    out: list[int] = []
-    worst = 0.0
-    for i in selected:
-        d = np.abs(next_roots - prev_roots[i])
-        j_best = int(np.argmin(d))
-        d_best = float(d[j_best])
-        if len(d) > 1:
-            d2 = np.delete(d, j_best)
-            d_second = float(d2.min())
-        else:
-            d_second = math.inf
-        if d_second == 0.0:
-            raise TrackingError(
-                f"root {i} matches a repeated target root; correspondence ambiguous"
-            )
-        ratio = d_best / d_second if math.isfinite(d_second) else 0.0
-        if ratio > tol_track_ratio:
-            raise TrackingError(
-                f"ambiguity ratio {ratio:.3g} exceeds {tol_track_ratio} for root {i}"
-            )
-        if j_best in used:
-            raise TrackingError(f"two selected roots map to target root {j_best}")
-        used.add(j_best)
-        out.append(j_best)
-        worst = max(worst, ratio)
-    return tuple(out), worst
+    d = np.abs(targets[None, :] - sources[:, None])
+    rows = np.arange(len(sources))
+    nearest = np.argmin(d, axis=1)
+    d_best = d[rows, nearest]
+    d[rows, nearest] = np.inf
+    d_second = d.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.isfinite(d_second), d_best / d_second, 0.0)
+    passed = (d_second != 0.0) & ~(ratio > tol_track_ratio)
+    return nearest, ratio, passed
 
 
 def track_roots(
@@ -298,15 +287,24 @@ def track_roots(
 
     Both slices must carry the same number of roots.  Raises
     :class:`TrackingError` on a count mismatch, an ambiguous match
-    (nearest/second-nearest ratio above ``tol_track_ratio``), or a
-    collision; callers recover by halving the phase step.
+    (nearest/second-nearest ratio above ``tol_track_ratio``, or a repeated
+    target root), or a collision; callers recover by halving the phase step.
     """
     if prev.count != next.count:
         raise TrackingError(
             f"root counts differ between slices ({prev.count} vs {next.count})"
         )
-    indices, _ = _match_selected(prev.roots, next.roots, tuple(selected), tol_track_ratio)
-    return indices
+    selected = list(selected)
+    nearest, ratio, passed = _match(prev.roots[selected], next.roots, tol_track_ratio)
+    for i, r, ok in zip(selected, ratio, passed):
+        if not ok:
+            raise TrackingError(
+                f"no unambiguous match for root {i} (ambiguity ratio {r:.3g}, "
+                f"limit {tol_track_ratio})"
+            )
+    if len(set(nearest.tolist())) < len(selected):
+        raise TrackingError("two selected roots map to the same target root")
+    return tuple(nearest.tolist())
 
 
 def enumerate_combinations(n_prime: int, k: int, cap: int):
@@ -428,130 +426,66 @@ def extract_blur(
     )
 
 
-class _TrackingLevels:
-    """Sample points plus progressively finer tracking chains between them.
-
-    The rank test always runs on the level-0 sample points; deeper levels
-    insert intermediate unit-circle points at half the previous phase
-    spacing (the halved grid contains the original points exactly), used
-    only to carry root correspondence across a step that is ambiguous when
-    taken whole.  Intermediate points that are degenerate or change root
-    count are skipped as stepping stones.
-    """
-
-    def __init__(self, P: BivariatePoly, cfg: SearchConfig, q: int):
-        self._P = P
-        self._cfg = cfg
-        self._q = q
-        self._points: list[SamplePoint] | None = None
-        self._slices: list[RootSlice] | None = None
-        self._chains: dict[int, tuple[list[int], list[RootSlice | None]]] = {}
-        self._lock = threading.Lock()
-
-    def system_points(self) -> tuple[list[SamplePoint], list[RootSlice]]:
-        with self._lock:
-            self._ensure_base()
-            return self._points, self._slices
-
-    def _ensure_base(self) -> None:
-        if self._points is None:
-            self._points = choose_sample_points(self._q, self._cfg, self._P)
-            self._slices = [slice_roots(self._P, pt.value) for pt in self._points]
-
-    def chain(self, level: int) -> tuple[list[int], list[RootSlice | None]]:
-        """Anchor positions of the sample points and the slice chain."""
-        with self._lock:
-            self._ensure_base()
-            if level not in self._chains:
-                self._chains[level] = self._build_chain(level)
-            return self._chains[level]
-
-    def _build_chain(self, level: int) -> tuple[list[int], list[RootSlice | None]]:
-        cfg = self._cfg
-        slots = [round((pt.phase - cfg.base_phase) / cfg.phase_step) for pt in self._points]
-        factor = 2**level
-        anchors = [s * factor for s in slots]
-        chain: list[RootSlice | None] = [None] * (anchors[-1] + 1)
-        for j, a in enumerate(anchors):
-            chain[a] = self._slices[j]
-        if level == 0:
-            return anchors, chain
-        n_prime = self._slices[0].count
-        sub = cfg.phase_step / factor
-        for t in range(anchors[0] + 1, anchors[-1]):
-            if chain[t] is not None:
-                continue
-            u = unit_point(cfg.base_phase + t * sub)
-            try:
-                rs = slice_roots(self._P, u)
-            except (ZeroPolynomialError, RootFindingError):
-                continue
-            if rs.count == n_prime:
-                chain[t] = rs
-        log.debug("built tracking chain at halving level %d", level)
-        return anchors, chain
-
-
-def _walk_chain(
+def _track_chain(
     anchors: list[int],
     chain: list[RootSlice | None],
-    cfg: SearchConfig,
-    combo: tuple[int, ...],
-) -> tuple[list[np.ndarray], list[float]] | None:
-    """Carry the combination across all anchors; None when matching breaks."""
-    selected = tuple(combo)
-    per_point = [chain[anchors[0]].roots[list(combo)]]
-    margins: list[float] = []
+    tol_track_ratio: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Follow every base root along a chain of slices.
+
+    ``chain[anchors[j]]`` is the slice at sample point j; empty entries are
+    skipped.  Returns each root's index at every anchor (shape q x n'),
+    whether it matched unambiguously at every step, and its worst ambiguity
+    ratio between consecutive anchors (shape n' x (q - 1)).  Two roots that
+    meet at some step follow the same path from there on, so roots that end
+    on distinct indices never collided.
+    """
     current = chain[anchors[0]]
+    idx = np.arange(current.count)
+    ok = np.ones(current.count, dtype=bool)
+    worst = np.zeros((current.count, len(anchors) - 1))
+    at_anchors = [idx]
     for j in range(1, len(anchors)):
-        worst = 0.0
-        for t in range(anchors[j - 1] + 1, anchors[j] + 1):
-            nxt = chain[t]
+        for nxt in chain[anchors[j - 1] + 1 : anchors[j] + 1]:
             if nxt is None:
                 continue
-            try:
-                selected, margin = _match_selected(
-                    current.roots, nxt.roots, selected, cfg.tol_track_ratio
-                )
-            except TrackingError:
-                return None
-            worst = max(worst, margin)
+            nearest, ratio, passed = _match(current.roots, nxt.roots, tol_track_ratio)
+            ok &= passed[idx]
+            worst[:, j - 1] = np.maximum(worst[:, j - 1], ratio[idx])
+            idx = nearest[idx]
             current = nxt
-        per_point.append(current.roots[list(selected)])
-        margins.append(worst)
-    return per_point, margins
+        at_anchors.append(idx)
+    return np.array(at_anchors), ok, worst
 
 
-def _evaluate_combination(
-    levels: _TrackingLevels,
+def _halve(
+    P: BivariatePoly,
     cfg: SearchConfig,
-    q: int,
-    m: int,
-    n: int,
-    combo: tuple[int, ...],
-) -> BlurCandidate | None:
-    """Track one combination and rank-test it; None when tracking fails.
+    anchors: list[int],
+    chain: list[RootSlice | None],
+    level: int,
+) -> tuple[list[int], list[RootSlice | None]]:
+    """The chain at ``level`` from the chain one level coarser.
 
-    Tracking starts anchor-to-anchor and refines through up to four
-    halvings; the homogeneous system is always built at the level-0 sample
-    points so the rank test keeps its full discrimination.
+    The coarser slices sit at the even positions: halving the step is exact,
+    so their phases are bit-equal to what this level would compute.  Only
+    the odd positions, the midpoints, are solved; one that is degenerate or
+    changes the root count stays empty and is skipped as a stepping stone.
     """
-    points, _ = levels.system_points()
-    for level in range(_MAX_HALVINGS + 1):
-        anchors, chain = levels.chain(level)
-        walked = _walk_chain(anchors, chain, cfg, combo)
-        if walked is None:
+    n_prime = chain[anchors[0]].count
+    sub = cfg.phase_step / 2**level
+    finer: list[RootSlice | None] = [None] * (2 * len(chain) - 1)
+    finer[::2] = chain
+    for t in range(2 * anchors[0] + 1, 2 * anchors[-1], 2):
+        u = unit_point(cfg.base_phase + t * sub)
+        try:
+            rs = slice_roots(P, u)
+        except (ZeroPolynomialError, RootFindingError):
             continue
-        per_point, margins = walked
-        track = SheetTrack(
-            combination=tuple(combo),
-            per_point_roots=tuple(per_point),
-            tracking_margins=tuple(margins),
-        )
-        A = build_system(track, points, m, n)
-        sigma_min, sigma_second, xi = nullspace_min(A)
-        return extract_blur(xi, m, n, q, cfg, sigma_min, sigma_second, tuple(combo))
-    return None
+        if rs.count == n_prime:
+            finer[t] = rs
+    log.debug("built tracking chain at halving level %d", level)
+    return [2 * a for a in anchors], finer
 
 
 def _empty_report(cfg: SearchConfig, q: int, phases=(), n_prime=0, total=0,
@@ -581,6 +515,9 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig, threads: int = 1) -> Search
     picks as best the accepted candidate with the smallest sigma_gap (ties
     go to the lexicographically smallest combination).  A run that accepts
     nothing returns an empty-best report rather than raising.
+
+    ``threads`` is accepted for compatibility and ignored: the search runs
+    on one thread, and its report is the same for any value.
     """
     if cfg.axis is not Axis.V:
         raise AxisError(
@@ -589,36 +526,57 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig, threads: int = 1) -> Search
         )
     m, n = cfg.blur_m, cfg.blur_n
     q = compute_q(m, n)
-    levels = _TrackingLevels(P, cfg, q)
     try:
-        points0, slices0 = levels.system_points()
+        points = choose_sample_points(q, cfg, P)
     except SamplingError as exc:
         log.info("sampling failed: %s", exc)
         return _empty_report(cfg, q, sampling_failed=True)
-    phases = tuple(pt.phase for pt in points0)
-    n_prime = slices0[0].count
+    slices = [slice_roots(P, pt.value) for pt in points]
+    phases = tuple(pt.phase for pt in points)
+    n_prime = slices[0].count
     k = n - 1
     if n_prime < k:
         return _empty_report(cfg, q, phases, n_prime, total=0)
     total = math.comb(n_prime, k)
     truncated = total > cfg.max_combinations
-    combos = enumerate_combinations(n_prime, k, cfg.max_combinations)
 
-    def evaluate(combo):
-        return _evaluate_combination(levels, cfg, q, m, n, combo)
-
+    # Level 0 steps from sample point to sample point.  A point that sampling
+    # replaced leaves an empty slot, which stays empty at every finer level:
+    # its slice is degenerate or has the wrong root count.  Level L is built
+    # from level L - 1, and only once some combination has failed to track at
+    # every level below it.
+    anchors = [round((pt.phase - cfg.base_phase) / cfg.phase_step) for pt in points]
+    chain: list[RootSlice | None] = [None] * (anchors[-1] + 1)
+    for a, rs in zip(anchors, slices):
+        chain[a] = rs
+    levels = [_track_chain(anchors, chain, cfg.tol_track_ratio)]
     outcomes: list[BlurCandidate | None] = []
-    if cfg.early_stop:
-        for combo in combos:
-            cand = evaluate(combo)
-            outcomes.append(cand)
-            if cand is not None and cand.accepted:
-                break
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(evaluate, combos))
-    else:
-        outcomes = [evaluate(combo) for combo in combos]
+    for combo in enumerate_combinations(n_prime, k, cfg.max_combinations):
+        sel = list(combo)
+        cand = None
+        for level in range(_MAX_HALVINGS + 1):
+            if level == len(levels):
+                anchors, chain = _halve(P, cfg, anchors, chain, level)
+                levels.append(_track_chain(anchors, chain, cfg.tol_track_ratio))
+            at_anchors, ok, worst = levels[level]
+            if not ok[sel].all() or len(set(at_anchors[-1, sel].tolist())) < k:
+                continue
+            # The rank test always runs on the sample points themselves, so
+            # it keeps its full discrimination whichever level tracked.
+            track = SheetTrack(
+                combination=combo,
+                per_point_roots=tuple(
+                    rs.roots[idx] for rs, idx in zip(slices, at_anchors[:, sel])
+                ),
+                tracking_margins=tuple(worst[sel].max(axis=0).tolist()),
+            )
+            A = build_system(track, points, m, n)
+            sigma_min, sigma_second, xi = nullspace_min(A)
+            cand = extract_blur(xi, m, n, q, cfg, sigma_min, sigma_second, combo)
+            break
+        outcomes.append(cand)
+        if cfg.early_stop and cand is not None and cand.accepted:
+            break
 
     candidates = [c for c in outcomes if c is not None]
     tracking_failures = len(outcomes) - len(candidates)
@@ -646,20 +604,6 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig, threads: int = 1) -> Search
     )
 
 
-def _reorient_candidate(cand: BlurCandidate) -> BlurCandidate:
-    return BlurCandidate(
-        h=cand.h.T.copy(),
-        p=cand.p,
-        sigma_min=cand.sigma_min,
-        sigma_second=cand.sigma_second,
-        sigma_gap=cand.sigma_gap,
-        realness=cand.realness,
-        combination=cand.combination,
-        accepted=cand.accepted,
-        zero_sum=cand.zero_sum,
-    )
-
-
 def search_image(img: Image, cfg: SearchConfig, threads: int = 1) -> SearchReport:
     """Search an image for a blur, transposing first when axis is U.
 
@@ -672,22 +616,10 @@ def search_image(img: Image, cfg: SearchConfig, threads: int = 1) -> SearchRepor
         return search_blur(ztransform(img), cfg, threads)
     cfg_v = replace(cfg, blur_m=cfg.blur_n, blur_n=cfg.blur_m, axis=Axis.V)
     rep = search_blur(ztransform(transpose(img)), cfg_v, threads)
-    candidates = [_reorient_candidate(c) for c in rep.candidates]
+    candidates = [replace(c, h=c.h.T.copy()) for c in rep.candidates]
     best = None
     if rep.best is not None:
         best = candidates[rep.candidates.index(rep.best)]
-    return SearchReport(
-        blur_m=cfg.blur_m,
-        blur_n=cfg.blur_n,
-        q=rep.q,
-        axis=Axis.U,
-        sample_phases=rep.sample_phases,
-        n_prime=rep.n_prime,
-        candidates=candidates,
-        best=best,
-        combinations_total=rep.combinations_total,
-        combinations_evaluated=rep.combinations_evaluated,
-        tracking_failures=rep.tracking_failures,
-        truncated=rep.truncated,
-        sampling_failed=rep.sampling_failed,
+    return replace(
+        rep, blur_m=cfg.blur_m, blur_n=cfg.blur_n, axis=Axis.U, candidates=candidates, best=best
     )

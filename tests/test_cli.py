@@ -272,3 +272,23 @@ class TestEntryPoint:
         proc = synth("off")
         assert proc.returncode == 0, proc.stderr
         assert not re.search(r"^[A-Z]+ zerosheet\.", proc.stderr, re.MULTILINE), proc.stderr
+
+    def test_log_level_follows_each_main_call(self, tmp_path):
+        # one interpreter, three main() calls: info, then debug twice; each
+        # call takes the level it sees, and the handler is never doubled
+        script = (
+            "import os, sys\n"
+            "from zerosheet.cli import main\n"
+            "for i, level in enumerate(('info', 'debug', 'debug')):\n"
+            "    os.environ['ZEROSHEET_LOG'] = level\n"
+            "    args = ['synth', '--output', os.path.join(sys.argv[1], str(i)),\n"
+            "            '--width', '6', '--height', '6', '--seed', '1']\n"
+            "    assert main(args) == 0\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=child_env(ZEROSHEET_LOG="off"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        debug_lines = re.findall(r"^DEBUG zerosheet\.cli: .*\bsynth\b", proc.stderr, re.MULTILINE)
+        assert len(debug_lines) == 2, proc.stderr

@@ -1,7 +1,11 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import candidates_equal, exact_model, reports_equal, unit_sum
 from zerosheet import (
@@ -31,7 +35,8 @@ from zerosheet import (
     unit_point,
     ztransform,
 )
-from zerosheet.search import SamplePoint
+import zerosheet.search
+from zerosheet.search import SamplePoint, _track_chain
 from zerosheet.zpoly import RootSlice
 
 
@@ -161,6 +166,124 @@ class TestTrackRoots:
             worst = max(min(abs(t - r) for r in hr_j) for t in tracked)
             assert worst <= 1e-6
             prev = nxt
+
+
+def match_selected(prev_roots, next_roots, selected, tol_track_ratio):
+    """Reference oracle: injective nearest-neighbour matching of the selected
+    roots, one root after another, as the search did per combination before
+    it tracked each root once.  Returns the matched indices (selected order
+    preserved) and the worst ambiguity ratio; raises TrackingError."""
+    used: set[int] = set()
+    out: list[int] = []
+    worst = 0.0
+    for i in selected:
+        d = np.abs(next_roots - prev_roots[i])
+        j_best = int(np.argmin(d))
+        d_best = float(d[j_best])
+        if len(d) > 1:
+            d_second = float(np.delete(d, j_best).min())
+        else:
+            d_second = math.inf
+        if d_second == 0.0:
+            raise TrackingError(f"root {i} matches a repeated target root")
+        ratio = d_best / d_second if math.isfinite(d_second) else 0.0
+        if ratio > tol_track_ratio:
+            raise TrackingError(f"ambiguity ratio {ratio:.3g} for root {i}")
+        if j_best in used:
+            raise TrackingError(f"two selected roots map to target root {j_best}")
+        used.add(j_best)
+        out.append(j_best)
+        worst = max(worst, ratio)
+    return tuple(out), worst
+
+
+def walk_combination(anchors, chain, combo, tol_track_ratio):
+    """Reference oracle: carry one combination along the chain with
+    ``match_selected``.  Returns its indices at every anchor and its worst
+    ratio between consecutive anchors, or None when matching breaks."""
+    selected = tuple(combo)
+    at_anchors = [selected]
+    margins = []
+    current = chain[anchors[0]]
+    for j in range(1, len(anchors)):
+        worst = 0.0
+        for nxt in chain[anchors[j - 1] + 1 : anchors[j] + 1]:
+            if nxt is None:
+                continue
+            try:
+                selected, margin = match_selected(
+                    current.roots, nxt.roots, selected, tol_track_ratio
+                )
+            except TrackingError:
+                return None
+            worst = max(worst, margin)
+            current = nxt
+        at_anchors.append(selected)
+        margins.append(worst)
+    return at_anchors, margins
+
+
+@st.composite
+def root_chains(draw):
+    """Anchored chains of equal-size root sets, with empty slots between
+    anchors.  Coordinates on a coarse grid make repeated roots and exact
+    distance ties common; small or zero offsets from the previous slice make
+    near-collisions and long tracked paths common."""
+    n = draw(st.integers(1, 6))
+    coord = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0)
+    root = st.builds(complex, coord, coord)
+    offset = st.just(0j) | st.builds(complex, st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+
+    def roots(prev):
+        if prev is None or draw(st.booleans()):
+            return make_slice(0, draw(st.lists(root, min_size=n, max_size=n)))
+        perm = draw(st.permutations(range(n)))
+        offsets = draw(st.lists(offset, min_size=n, max_size=n))
+        return make_slice(0, [prev.roots[p] + o for p, o in zip(perm, offsets)])
+
+    chain = [roots(None)]
+    anchors = [0]
+    for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(0, 2))):
+            chain.append(roots(chain[-1] or chain[anchors[-1]]) if draw(st.booleans()) else None)
+        chain.append(roots(chain[-1] or chain[anchors[-1]]))
+        anchors.append(len(chain) - 1)
+    tol = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    return anchors, chain, tol
+
+
+class TestTrackChain:
+    @settings(max_examples=300, deadline=None)
+    @given(root_chains())
+    def test_matches_per_combination_oracle(self, drawn):
+        anchors, chain, tol = drawn
+        at_anchors, ok, worst = _track_chain(anchors, chain, tol)
+        n = chain[0].count
+        for k in range(1, min(n, 3) + 1):
+            for combo in itertools.combinations(range(n), k):
+                sel = list(combo)
+                tracked = ok[sel].all() and len(set(at_anchors[-1, sel].tolist())) == k
+                walked = walk_combination(anchors, chain, combo, tol)
+                assert tracked == (walked is not None), combo
+                if walked is not None:
+                    expected, margins = walked
+                    assert [tuple(row) for row in at_anchors[:, sel].tolist()] == expected
+                    assert worst[sel].max(axis=0).tolist() == margins
+
+    @settings(max_examples=300, deadline=None)
+    @given(root_chains())
+    def test_track_roots_matches_oracle(self, drawn):
+        anchors, chain, tol = drawn
+        prev, nxt = chain[anchors[0]], chain[anchors[1]]
+        for k in range(1, min(prev.count, 3) + 1):
+            for combo in itertools.permutations(range(prev.count), k):
+                try:
+                    expected, _ = match_selected(prev.roots, nxt.roots, combo, tol)
+                except TrackingError:
+                    with pytest.raises(TrackingError):
+                        track_roots(prev, nxt, combo, tol)
+                else:
+                    assert track_roots(prev, nxt, combo, tol) == expected
 
 
 class TestEnumerateCombinations:
@@ -375,6 +498,24 @@ class TestSearchBlur:
         _, _, g = exact_model()
         with pytest.raises(AxisError):
             search_blur(ztransform(g), SearchConfig(blur_m=2, blur_n=2, axis=Axis.U))
+
+    def test_each_slice_solved_once(self, monkeypatch):
+        # this search refines tracking through midpoints; every point u,
+        # sample point or midpoint, is solved exactly once
+        _, _, g = exact_model(seed=3, fw=12, fh=12, m=2, n=3)
+        solved = Counter()
+        slice_roots_ = zerosheet.search.slice_roots
+
+        def counting(P, u, *args, **kwargs):
+            solved[complex(u)] += 1
+            return slice_roots_(P, u, *args, **kwargs)
+
+        monkeypatch.setattr(zerosheet.search, "slice_roots", counting)
+        cfg = SearchConfig(blur_m=2, blur_n=3, phase_step=0.3)
+        rep = search_blur(ztransform(g), cfg)
+        assert rep.best is not None and rep.tracking_failures > 0
+        assert len(solved) > rep.q
+        assert max(solved.values()) == 1, solved.most_common(3)
 
     def test_counters_add_up(self):
         _, _, g = exact_model(seed=11, fw=12, fh=12, m=2, n=2)
