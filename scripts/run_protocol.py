@@ -9,9 +9,8 @@ the rank test (at narrow spacing every smooth root branch looks locally
 like a small blur's sheet).
 
 Usage:
-    python scripts/run_protocol.py [--seed 12] [--size 40x40] [--threads 1]
-                                   [--sizes 2x2,2x3,3x3] [--phase-step 0.32]
-                                   [--out DIR]
+    python scripts/run_protocol.py [--seed 12] [--size 40x40] [--sizes 2x2,2x3,3x3]
+                                   [--phase-step 0.32] [--out DIR]
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ def main() -> int:
     ap.add_argument("--sizes", default="2x2,2x3,3x3")
     ap.add_argument("--phase-step", type=float, default=0.32)
     ap.add_argument("--base-phase", type=float, default=0.3)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="optionally dump CSVs here")
     args = ap.parse_args()
 
@@ -66,7 +64,7 @@ def main() -> int:
         base_phase=args.base_phase,
     )
     t0 = time.perf_counter()
-    result = pipeline(observed, sizes, cfg, threads=args.threads)
+    result = pipeline(observed, sizes, cfg)
     elapsed = time.perf_counter() - t0
 
     for i, stage in enumerate(result.stages, 1):

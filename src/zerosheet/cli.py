@@ -15,6 +15,7 @@ file, which overrides built-in defaults.  The env var ``ZEROSHEET_LOG``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -48,38 +49,22 @@ log = logging.getLogger("zerosheet.cli")
 # Name of the stderr handler that ZEROSHEET_LOG puts on the zerosheet logger.
 _LOG_HANDLER = "zerosheet.stderr"
 
+# The search knobs and their defaults come from SearchConfig (axis as its
+# letter); the other keys belong to the CLI.  A key's default also fixes the
+# type its config-file value is parsed as.
+_SEARCH_DEFAULTS: dict[str, object] = {
+    f.name: f.default.value if isinstance(f.default, Axis) else f.default
+    for f in dataclasses.fields(SearchConfig)
+    if f.default is not dataclasses.MISSING
+}
 _DEFAULTS: dict[str, object] = {
-    "base_phase": 0.3,
-    "phase_step": 0.01,
-    "tol_null": 1e-6,
-    "tol_real": 1e-6,
-    "tol_track_ratio": 0.5,
-    "max_combinations": 1_000_000,
-    "axis": "v",
+    **_SEARCH_DEFAULTS,
     "threads": 1,
     "seed": 7,
     "width": 40,
     "height": 40,
     "maxval": 255,
     "points": 1,
-    "early_stop": False,
-}
-
-_CONFIG_TYPES: dict[str, type] = {
-    "base_phase": float,
-    "phase_step": float,
-    "tol_null": float,
-    "tol_real": float,
-    "tol_track_ratio": float,
-    "max_combinations": int,
-    "axis": str,
-    "threads": int,
-    "seed": int,
-    "width": int,
-    "height": int,
-    "maxval": int,
-    "points": int,
-    "early_stop": bool,
 }
 
 
@@ -177,9 +162,9 @@ def _read_config_file(path) -> dict[str, object]:
         if "=" not in line:
             raise ZeroSheetError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in _DEFAULTS:
             raise ZeroSheetError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = _CONFIG_TYPES[key]
+        caster = type(_DEFAULTS[key])
         try:
             values[key] = _parse_bool(val) if caster is bool else caster(val)
         except ValueError:
@@ -199,32 +184,15 @@ def _resolve(ns: argparse.Namespace) -> dict[str, object]:
     return out
 
 
-def _build_config(opts: dict, m: int, n: int) -> SearchConfig:
-    return SearchConfig(
-        blur_m=m,
-        blur_n=n,
-        base_phase=float(opts["base_phase"]),
-        phase_step=float(opts["phase_step"]),
-        tol_null=float(opts["tol_null"]),
-        tol_real=float(opts["tol_real"]),
-        tol_track_ratio=float(opts["tol_track_ratio"]),
-        max_combinations=int(opts["max_combinations"]),
-        axis=Axis(str(opts["axis"]).lower()),
-        early_stop=bool(opts["early_stop"]),
-    )
-
-
 def _config_echo(opts: dict) -> dict:
-    return {
-        "base_phase": float(opts["base_phase"]),
-        "phase_step": float(opts["phase_step"]),
-        "tol_null": float(opts["tol_null"]),
-        "tol_real": float(opts["tol_real"]),
-        "tol_track_ratio": float(opts["tol_track_ratio"]),
-        "max_combinations": int(opts["max_combinations"]),
-        "axis": str(opts["axis"]).lower(),
-        "early_stop": bool(opts["early_stop"]),
-    }
+    echo = {key: type(default)(opts[key]) for key, default in _SEARCH_DEFAULTS.items()}
+    echo["axis"] = echo["axis"].lower()
+    return echo
+
+
+def _build_config(opts: dict, m: int, n: int) -> SearchConfig:
+    echo = _config_echo(opts)
+    return SearchConfig(blur_m=m, blur_n=n, **{**echo, "axis": Axis(echo["axis"])})
 
 
 def _out_dir(ns) -> Path:
@@ -539,10 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     log.debug("command %s", ns.command)
     try:
         return ns.func(ns)
-    except ZeroSheetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ZeroSheetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,6 +15,7 @@ Blur kernels move between two representations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -303,6 +304,8 @@ def load_csv(path) -> Image:
             rows.append([float(tok) for tok in line.split(",")])
         except ValueError:
             raise CsvFormatError(f"line {lineno}: non-numeric entry") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise CsvFormatError(f"line {lineno}: non-finite entry")
     if not rows:
         raise CsvFormatError("CSV image file holds no rows")
     width = len(rows[0])
@@ -345,6 +348,8 @@ def load_matrix_csv(path) -> np.ndarray:
             row = [float(tok) for tok in line.split(",")]
         except ValueError:
             raise CsvFormatError(f"line {lineno}: non-numeric entry") from None
+        if not all(map(math.isfinite, row)):
+            raise CsvFormatError(f"line {lineno}: non-finite entry")
         if len(row) != n:
             raise CsvFormatError(f"line {lineno}: expected {n} values, got {len(row)}")
         rows.append(row)

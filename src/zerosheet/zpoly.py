@@ -74,10 +74,9 @@ class BivariatePoly:
 
     def eval(self, u: complex, v: complex) -> complex:
         """Nested Horner evaluation, outer in u, inner in v."""
-        acc = 0j
-        for x in range(self.coeffs.shape[0] - 1, -1, -1):
-            acc = acc * u + _horner(self.coeffs[x], v)
-        return acc
+        # rows of coeffs[:, ::-1].T run from the highest power of v down
+        per_x = np.polyval(self.coeffs[:, ::-1].T, v)
+        return complex(np.polyval(per_x[::-1], u))
 
 
 def ztransform(img: Image) -> BivariatePoly:
@@ -104,24 +103,7 @@ class UniPoly:
         return len(self.coeffs) - 1
 
     def eval(self, v: complex) -> complex:
-        return _horner(self.coeffs, v)
-
-
-def _horner(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for a in coeffs[::-1]:
-        acc = acc * z + a
-    return complex(acc)
-
-
-def _horner_pair(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
-    """Value and first derivative in one pass."""
-    b = 0j
-    db = 0j
-    for a in coeffs[::-1]:
-        db = db * z + b
-        b = b * z + a
-    return complex(b), complex(db)
+        return complex(np.polyval(self.coeffs[::-1], v))
 
 
 def slice_in_v(P: BivariatePoly, u: complex, trim_tol: float = TRIM_TOL) -> UniPoly:
@@ -160,39 +142,31 @@ def slice_in_v(P: BivariatePoly, u: complex, trim_tol: float = TRIM_TOL) -> UniP
     return UniPoly(a[: d + 1])
 
 
-def residual_scale(coeffs: np.ndarray, z: complex) -> float:
+def residual_scale(coeffs: np.ndarray, z):
     """Evaluation magnitude ``sum_y |a_y| |z|^y``, the smallest scale at which
-    a Horner residual at z is meaningful in double precision."""
-    acc = 0.0
-    az = abs(z)
-    for a in np.abs(coeffs)[::-1]:
-        acc = acc * az + a
-    return float(acc)
+    a Horner residual at z is meaningful in double precision.  z may be a
+    scalar or an array of points."""
+    return np.polyval(np.abs(coeffs)[::-1], np.abs(z))
 
 
 def find_roots(p: UniPoly, tol_root: float = ROOT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """All roots of p, Newton-polished, in deterministic order.
 
-    Initial estimates come from the companion-matrix eigenvalues; each is
-    then polished by Newton iteration on the original coefficients until
-    ``|p(root)| <= tol_root * sum_y |a_y| |root|^y``.  The bound scales with
-    the evaluation magnitude at the root, so roots outside the unit circle
-    get the same relative accuracy as roots inside.  Returns
-    (roots, residuals) sorted by real part, then imaginary part; raises
-    :class:`RootFindingError` if any root misses its bound.
+    Initial estimates come from the companion-matrix eigenvalues; all of
+    them are then polished together by Newton iteration on the original
+    coefficients until ``|p(root)| <= tol_root * sum_y |a_y| |root|^y``.
+    The bound scales with the evaluation magnitude at the root, so roots
+    outside the unit circle get the same relative accuracy as roots inside.
+    Returns (roots, residuals) sorted by real part, then imaginary part;
+    raises :class:`RootFindingError` if any root misses its bound.
     """
     d = p.effective_degree
     if d < 1:
         raise ValueError("find_roots requires effective degree >= 1")
-    guesses = np.roots(p.coeffs[::-1])
-    roots = np.empty(d, dtype=np.complex128)
-    residuals = np.empty(d, dtype=np.float64)
-    worst_rel = 0.0
-    for i, z0 in enumerate(guesses):
-        roots[i], residuals[i] = _newton_polish(p.coeffs, complex(z0), tol_root)
-        rel = residuals[i] / residual_scale(p.coeffs, roots[i])
-        worst_rel = max(worst_rel, rel)
-    if worst_rel > tol_root:
+    roots, residuals, scales = _polish(p.coeffs, np.roots(p.coeffs[::-1]), tol_root)
+    missed = residuals > tol_root * scales
+    if missed.any():
+        worst_rel = float(np.max(residuals[missed] / scales[missed]))
         raise RootFindingError(
             f"root polishing stalled at relative residual {worst_rel:.3e} "
             f"(bound {tol_root:.3e}, degree {d})"
@@ -201,23 +175,41 @@ def find_roots(p: UniPoly, tol_root: float = ROOT_TOL) -> tuple[np.ndarray, np.n
     return roots[order], residuals[order]
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, tol_rel: float) -> tuple[complex, float]:
-    best_z, best_res = z, float("inf")
-    for _ in range(_NEWTON_MAX_ITER):
-        pv, dv = _horner_pair(coeffs, z)
-        res = abs(pv)
-        if res < best_res:
-            best_z, best_res = z, res
-        if res <= tol_rel * residual_scale(coeffs, z) or dv == 0:
-            return best_z, best_res
-        step = pv / dv
-        if not (np.isfinite(step.real) and np.isfinite(step.imag)):
-            return best_z, best_res
-        z = z - step
-    res = abs(_horner(coeffs, z))
-    if res < best_res:
-        best_z, best_res = z, res
-    return best_z, best_res
+def _polish(coeffs: np.ndarray, guesses: np.ndarray, tol_root: float):
+    """Newton iteration from every guess at once.
+
+    A root stops once ``|p(z)| <= tol_root * residual_scale(z)``, when
+    p'(z) = 0, or when its step is not finite; the rest go on for at most
+    ``_NEWTON_MAX_ITER`` steps.  Returns, per root, the iterate with the
+    smallest residual seen, that residual and the residual scale there.
+    """
+    desc = coeffs[::-1]
+    z = np.array(guesses, dtype=np.complex128)
+    best_z = z.copy()
+    best_res = np.full(len(z), np.inf)
+    # stays 0 only for a root whose residual was never finite, which then
+    # misses every bound
+    best_scale = np.zeros(len(z))
+    active = np.arange(len(z))
+    for it in range(_NEWTON_MAX_ITER + 1):
+        za = z[active]
+        pv = np.polyval(desc, za)
+        res = np.abs(pv)
+        scale = residual_scale(coeffs, za)
+        better = res < best_res[active]
+        idx = active[better]
+        best_z[idx], best_res[idx], best_scale[idx] = za[better], res[better], scale[better]
+        if it == _NEWTON_MAX_ITER:
+            break
+        dv = np.polyval(np.polyder(desc), za)
+        with np.errstate(all="ignore"):
+            step = pv / dv
+        go = ~(res <= tol_root * scale) & (dv != 0) & np.isfinite(step)
+        active = active[go]
+        if not active.size:
+            break
+        z[active] = za[go] - step[go]
+    return best_z, best_res, best_scale
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import zerosheet
 from zerosheet import Image, SearchConfig, convolve, synth_blur, synth_image
 
 # The fixed three-blur restoration protocol used by the acceptance suite.
@@ -84,3 +88,17 @@ def reports_equal(a, b) -> bool:
     if (a.best is None) != (b.best is None):
         return False
     return a.best is None or candidates_equal(a.best, b.best)
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """Environment for a ``python -m zerosheet`` child process.
+
+    Starts from this process's environment and puts the directory that
+    ``zerosheet`` was imported from first on PYTHONPATH, so the child runs
+    the same code as the in-process tests, installed or not.
+    """
+    env = dict(os.environ)
+    import_root = str(Path(zerosheet.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [import_root, env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env

@@ -1,13 +1,12 @@
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
+import pytest
 
-import zerosheet
+from helpers import child_env
 from zerosheet import __version__, load_csv, load_matrix_csv
 from zerosheet.cli import EXIT_ERROR, EXIT_NO_BLUR, EXIT_OK, EXIT_PARTIAL, main
 
@@ -234,18 +233,30 @@ class TestConfigPrecedence:
         assert rc == EXIT_ERROR
 
 
-def child_env(**overrides: str) -> dict[str, str]:
-    """Environment for a ``python -m zerosheet`` child process.
-
-    Starts from this process's environment and puts the directory that
-    ``zerosheet`` was imported from first on PYTHONPATH, so the child runs
-    the same code as the in-process tests, installed or not.
-    """
-    env = dict(os.environ)
-    import_root = str(Path(zerosheet.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [import_root, env.get("PYTHONPATH")]))
-    env.update(overrides)
-    return env
+class TestErrorExit:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["search", "--blur", "2x2", "--phase-step", "1"], "phase_step must lie in"),
+            (["search", "--blur", "2x2", "--tol-null", "2"], "tol_null must lie in"),
+            (["search", "--blur", "2x2", "--max-combinations", "0"], "max_combinations must be"),
+            (["synth", "--width", "0"], "dimensions must be >= 1"),
+            (["search", "--blur", "2x2", "--input", "{nan}"], "line 2: non-finite entry"),
+            (["deblur", "--blur", "2x2", "--input", "{inf}"], "line 3: non-finite entry"),
+        ],
+        ids=["phase-step", "tol-null", "max-combinations", "synth-width", "csv-nan", "csv-inf"],
+    )
+    def test_value_errors_exit_with_message(self, tmp_path, capsys, args, message):
+        (tmp_path / "nan.csv").write_text("1,2,3\n4,nan,6\n7,8,9\n")
+        (tmp_path / "inf.csv").write_text("1,2,3\n4,5,6\n-inf,8,9\n")
+        (tmp_path / "ok.csv").write_text("1,2,3\n4,5,6\n7,8,9\n")
+        args = [a.format(nan=tmp_path / "nan.csv", inf=tmp_path / "inf.csv") for a in args]
+        if args[0] != "synth" and "--input" not in args:
+            args += ["--input", str(tmp_path / "ok.csv")]
+        rc = main(args + ["--output", str(tmp_path / "out")])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.search(rf"^error: .*{message}", err, re.MULTILINE), err
 
 
 class TestEntryPoint:

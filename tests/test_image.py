@@ -232,6 +232,15 @@ class TestCsv:
         assert header == "2,3"
         assert np.array_equal(load_matrix_csv(path), mat)
 
+    @pytest.mark.parametrize(
+        "loader, text", [(load_csv, "1,inf\n2,3\n"), (load_matrix_csv, "2,2\n1,2\nnan,3\n")]
+    )
+    def test_non_finite_rejected(self, tmp_path, loader, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=r"line \d: non-finite entry"):
+            loader(path)
+
     def test_matrix_bad_header(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("2,3\n1,2,3\n")

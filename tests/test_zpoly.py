@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import exact_model, protocol_data
 from zerosheet import (
     Image,
+    RootFindingError,
     UniPoly,
     ZeroPolynomialError,
     elementary_symmetric_coeffs,
@@ -16,9 +17,10 @@ from zerosheet import (
     unit_point,
     ztransform,
 )
-from zerosheet.zpoly import ROOT_TOL, BivariatePoly, residual_scale
+from zerosheet.zpoly import _NEWTON_MAX_ITER, ROOT_TOL, BivariatePoly, _polish, residual_scale
 
 ONES2 = Image([[1.0, 1.0], [1.0, 1.0]])
+EPS = np.finfo(float).eps
 
 
 def separated_roots(seed: int, count: int, min_sep: float = 0.2) -> np.ndarray:
@@ -150,6 +152,99 @@ class TestFindRoots:
         img_like = BivariatePoly(rs_coeffs.reshape(1, -1))
         rs = slice_roots(img_like, 0.7)
         assert rs.clustered
+
+
+def horner_pair(coeffs, z):
+    """Reference oracle: value and first derivative in one scalar Horner pass."""
+    b = 0j
+    db = 0j
+    for a in coeffs[::-1]:
+        db = db * z + b
+        b = b * z + a
+    return complex(b), complex(db)
+
+
+def newton_polish(coeffs, z, tol_rel):
+    """Reference oracle: the scalar Newton polish of one root, as find_roots
+    ran it root by root before it polished all roots together.  Returns the
+    best iterate, its residual and the number of steps taken."""
+    best_z, best_res = z, float("inf")
+    for steps in range(_NEWTON_MAX_ITER):
+        pv, dv = horner_pair(coeffs, z)
+        res = abs(pv)
+        if res < best_res:
+            best_z, best_res = z, res
+        if res <= tol_rel * residual_scale(coeffs, z) or dv == 0:
+            return best_z, best_res, steps
+        step = pv / dv
+        if not (np.isfinite(step.real) and np.isfinite(step.imag)):
+            return best_z, best_res, steps
+        z = z - step
+    res = abs(horner_pair(coeffs, z)[0])
+    if res < best_res:
+        best_z, best_res = z, res
+    return best_z, best_res, _NEWTON_MAX_ITER
+
+
+@st.composite
+def perturbed_polynomials(draw):
+    """Ascending coefficients of a degree 1-64 polynomial whose roots lie
+    around the unit circle, well separated, in close pairs, or in exact
+    double pairs, plus start guesses perturbed from those roots by 1e-10 to
+    1e-3 relative, so that Newton has to take steps."""
+    kind = draw(st.sampled_from(["separated", "clustered", "double"]))
+    degree = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = degree if kind == "separated" else (degree + 1) // 2
+    phases = 2 * np.pi * (np.arange(count) + rng.uniform(-0.3, 0.3, count)) / count
+    roots = rng.uniform(0.7, 1.3, count) * np.exp(1j * phases)
+    if kind != "separated":
+        gap = 0.0 if kind == "double" else 10 ** rng.uniform(-6, -2)
+        partners = roots * (1 + gap * np.exp(2j * np.pi * rng.uniform(size=count)))
+        roots = np.concatenate([roots, partners])[:degree]
+    size = 10 ** rng.uniform(-10, -3, degree)
+    guesses = roots * (1 + size * np.exp(2j * np.pi * rng.uniform(size=degree)))
+    return elementary_symmetric_coeffs(roots), guesses
+
+
+class TestPolish:
+    def test_matches_scalar_oracle(self):
+        stepped = []
+
+        @settings(max_examples=200, deadline=None)
+        @given(perturbed_polynomials())
+        def check(drawn):
+            coeffs, guesses = drawn
+            roots, residuals, scales = _polish(coeffs, guesses, ROOT_TOL)
+            assert np.array_equal(scales, residual_scale(coeffs, roots))
+            degree = len(coeffs) - 1
+            for z0, z, res, scale in zip(guesses, roots, residuals, scales):
+                ref_z, ref_res, steps = newton_polish(coeffs, complex(z0), ROOT_TOL)
+                ref_scale = residual_scale(coeffs, ref_z)
+                assert (res <= ROOT_TOL * scale) == (ref_res <= ROOT_TOL * ref_scale)
+                # numpy's vector complex arithmetic may round differently
+                # from the scalar oracle (fused multiply-add); a Horner
+                # rounding error of degree * eps * scale in p(z) moves a
+                # Newton step by that over |p'(z)|, which is negligible for
+                # simple roots but reaches ~6e-12 beside a close or double pair
+                rounding = degree * EPS * ref_scale / abs(horner_pair(coeffs, ref_z)[1])
+                assert abs(z - ref_z) <= 1e-12 * max(1.0, abs(ref_z)) + 4 * rounding
+                stepped.append(steps > 0)
+
+        check()
+        assert any(stepped)
+
+    def test_keeps_best_iterate_of_a_newton_cycle(self):
+        # Newton on z^3 - 2z + 2 cycles 0 -> 1 -> 0 exactly; z = 1 has the
+        # smaller residual, and the last iterate (z = 0) must not win
+        coeffs = np.array([2.0, -2.0, 0.0, 1.0], dtype=complex)
+        roots, residuals, _ = _polish(coeffs, np.array([0j]), ROOT_TOL)
+        assert (roots[0], residuals[0]) == (1.0, 1.0)
+        assert newton_polish(coeffs, 0j, ROOT_TOL) == (1.0, 1.0, _NEWTON_MAX_ITER)
+
+    def test_unmet_bound_raises(self):
+        with pytest.raises(RootFindingError, match="relative residual"):
+            find_roots(UniPoly([-2.0, 0.0, 1.0]), tol_root=1e-30)
 
 
 class TestElementarySymmetric:
