@@ -3,8 +3,8 @@
 Commands: ``synth`` (make test data), ``search`` (find a blur, no
 restoration), ``deblur`` (find and remove one blur), ``pipeline`` (remove a
 sequence of blurs), ``roots`` (dump slice roots for inspection).  Every
-command that searches writes a versioned JSON report whose numbers carry 17
-significant digits, so reports are loss-free and byte-identical across
+command that searches writes a versioned JSON report whose numbers are in
+shortest round-trip form (loss-free), and reports are byte-identical across
 reruns (except the wall_time_ms fields).
 
 Option precedence: command-line flags override the ``--config`` key=value
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import logging
 import math
 import os
@@ -38,7 +39,7 @@ from .image import (
 )
 from .restore import pipeline, remove_blur
 from .search import Axis, SearchConfig, search_image
-from .zpoly import ZeroPolynomialError, slice_in_v, slice_roots, unit_point, ztransform
+from .zpoly import ZeroPolynomialError, slice_roots, unit_point, ztransform
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,7 +60,6 @@ _SEARCH_DEFAULTS: dict[str, object] = {
 }
 _DEFAULTS: dict[str, object] = {
     **_SEARCH_DEFAULTS,
-    "threads": 1,
     "seed": 7,
     "width": 40,
     "height": 40,
@@ -68,60 +68,8 @@ _DEFAULTS: dict[str, object] = {
 }
 
 
-# --------------------------------------------------------------------------
-# JSON emission: floats at 17 significant digits, deterministic key order
-# --------------------------------------------------------------------------
-
-
-def _json_escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite number {v!r} in report")
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return _json_escape(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_to_json(v, indent + 1) for v in value]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{_json_escape(str(k))}: {_to_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
-
-
 def write_json(obj: dict, path) -> None:
-    Path(path).write_text(_to_json(obj) + "\n", encoding="ascii")
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="ascii")
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +233,7 @@ def cmd_search(ns: argparse.Namespace) -> int:
     img = load_image(ns.input)
 
     t0 = time.perf_counter()
-    report = search_image(img, cfg, int(opts["threads"]))
+    report = search_image(img, cfg)
     wall = (time.perf_counter() - t0) * 1e3
 
     status = "OK" if report.best is not None else "NO_BLUR_FOUND"
@@ -310,7 +258,7 @@ def cmd_deblur(ns: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     try:
-        candidate, restoration, report = remove_blur(img, cfg, int(opts["threads"]))
+        candidate, restoration, report = remove_blur(img, cfg)
     except NoBlurFoundError as exc:
         wall = (time.perf_counter() - t0) * 1e3
         stages = [_stage_dict(exc.report, None, wall)] if exc.report else []
@@ -333,11 +281,13 @@ def cmd_deblur(ns: argparse.Namespace) -> int:
 def cmd_pipeline(ns: argparse.Namespace) -> int:
     opts = _resolve(ns)
     out = _out_dir(ns)
+    if not ns.sizes:
+        raise ValueError("pipeline needs at least one blur size")
     cfg = _build_config(opts, *ns.sizes[0])
     maxval = int(opts["maxval"])
     img = load_image(ns.input)
 
-    result = pipeline(img, ns.sizes, cfg, int(opts["threads"]))
+    result = pipeline(img, ns.sizes, cfg)
 
     stages = []
     for i, stage in enumerate(result.stages, start=1):
@@ -370,10 +320,15 @@ def cmd_roots(ns: argparse.Namespace) -> int:
     base = float(opts["base_phase"])
     step = float(opts["phase_step"])
     count = int(opts["points"])
+    if count < 1:
+        raise ValueError("points must be >= 1")
+    phases = [base + i * step for i in range(count)]
+    for i, phase in enumerate(phases, start=1):
+        if not math.isfinite(phase):
+            raise ValueError(f"phase of point {i} is not finite: {phase}")
 
     entries = []
-    for i in range(count):
-        phase = base + i * step
+    for i, phase in enumerate(phases):
         u = unit_point(phase)
         entry: dict[str, object] = {
             "index": i + 1,
@@ -381,12 +336,11 @@ def cmd_roots(ns: argparse.Namespace) -> int:
             "u": {"re": u.real, "im": u.imag},
         }
         try:
-            slice_in_v(P, u)
+            rs = slice_roots(P, u)
         except ZeroPolynomialError:
             entry["degenerate"] = True
             entries.append(entry)
             continue
-        rs = slice_roots(P, u)
         entry["degenerate"] = False
         entry["n_prime"] = rs.count
         entry["leading_coeff"] = {"re": rs.leading_coeff.real, "im": rs.leading_coeff.imag}
@@ -427,7 +381,6 @@ def _add_common(p: argparse.ArgumentParser, with_search_opts: bool = True) -> No
         p.add_argument("--tol-track-ratio", dest="tol_track_ratio", type=float)
         p.add_argument("--max-combinations", dest="max_combinations", type=int)
         p.add_argument("--axis", choices=["u", "v"])
-        p.add_argument("--threads", type=int)
         p.add_argument("--early-stop", dest="early_stop", action="store_const", const=True)
 
 

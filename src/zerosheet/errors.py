@@ -64,11 +64,10 @@ class DivisionUnstableError(ZeroSheetError):
     :func:`zerosheet.restore.least_squares_restore` instead.
     """
 
-    def __init__(self, min_h_on_grid: float, message: str | None = None):
+    def __init__(self, min_h_on_grid: float):
         self.min_h_on_grid = min_h_on_grid
         super().__init__(
-            message
-            or f"blur transform nearly vanishes on the DFT grid "
+            f"blur transform nearly vanishes on the DFT grid "
             f"(min|H|/max|H| = {min_h_on_grid:.3e}); use least_squares_restore"
         )
 

@@ -76,10 +76,6 @@ class Image:
         """Flat row-major view: element ``y * width + x`` is pixel (x, y)."""
         return self.pixels.ravel()
 
-    @classmethod
-    def from_rows(cls, rows) -> "Image":
-        return cls(np.asarray(rows, dtype=np.float64))
-
     def scaled(self, s: float) -> "Image":
         return Image(self.pixels * float(s))
 

@@ -158,7 +158,7 @@ def restore_with_fallback(g: Image, h: Image) -> RestorationResult:
 
 
 def remove_blur(
-    g: Image, cfg: SearchConfig, threads: int = 1
+    g: Image, cfg: SearchConfig
 ) -> tuple[BlurCandidate, RestorationResult, SearchReport]:
     """Search for one blur of the configured size and undo it.
 
@@ -167,7 +167,7 @@ def remove_blur(
     :class:`NoBlurFoundError`, carrying the search report, when no
     candidate is accepted.
     """
-    report = search_image(g, cfg, threads)
+    report = search_image(g, cfg)
     if report.best is None:
         raise NoBlurFoundError(
             f"no {cfg.blur_m}x{cfg.blur_n} blur accepted "
@@ -214,12 +214,7 @@ class PipelineResult:
         return self.stages[-1].restoration.image if self.stages else None
 
 
-def pipeline(
-    g: Image,
-    sizes,
-    cfg: SearchConfig,
-    threads: int = 1,
-) -> PipelineResult:
+def pipeline(g: Image, sizes, cfg: SearchConfig) -> PipelineResult:
     """Remove several blurs in the given (m, n) order, feeding each result on.
 
     Stops at the first stage that finds no blur and returns the stages
@@ -234,7 +229,7 @@ def pipeline(
         stage_cfg = replace(cfg, blur_m=int(m), blur_n=int(n))
         t0 = time.perf_counter()
         try:
-            candidate, restoration, report = remove_blur(current, stage_cfg, threads)
+            candidate, restoration, report = remove_blur(current, stage_cfg)
         except NoBlurFoundError as exc:
             wall = (time.perf_counter() - t0) * 1e3
             log.info("pipeline stage %d (%dx%d) found no blur", idx, m, n)

@@ -507,7 +507,7 @@ def _empty_report(cfg: SearchConfig, q: int, phases=(), n_prime=0, total=0,
     )
 
 
-def search_blur(P: BivariatePoly, cfg: SearchConfig, threads: int = 1) -> SearchReport:
+def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     """Search the transform for a blur_m x blur_n blur along v.
 
     Evaluates every combination of n - 1 base-point roots (lexicographic,
@@ -515,9 +515,6 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig, threads: int = 1) -> Search
     picks as best the accepted candidate with the smallest sigma_gap (ties
     go to the lexicographically smallest combination).  A run that accepts
     nothing returns an empty-best report rather than raising.
-
-    ``threads`` is accepted for compatibility and ignored: the search runs
-    on one thread, and its report is the same for any value.
     """
     if cfg.axis is not Axis.V:
         raise AxisError(
@@ -604,7 +601,7 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig, threads: int = 1) -> Search
     )
 
 
-def search_image(img: Image, cfg: SearchConfig, threads: int = 1) -> SearchReport:
+def search_image(img: Image, cfg: SearchConfig) -> SearchReport:
     """Search an image for a blur, transposing first when axis is U.
 
     For axis=U the search runs on the transposed image with swapped blur
@@ -613,9 +610,9 @@ def search_image(img: Image, cfg: SearchConfig, threads: int = 1) -> SearchRepor
     then refer to base-slice roots of the transposed image.
     """
     if cfg.axis is Axis.V:
-        return search_blur(ztransform(img), cfg, threads)
+        return search_blur(ztransform(img), cfg)
     cfg_v = replace(cfg, blur_m=cfg.blur_n, blur_n=cfg.blur_m, axis=Axis.V)
-    rep = search_blur(ztransform(transpose(img)), cfg_v, threads)
+    rep = search_blur(ztransform(transpose(img)), cfg_v)
     candidates = [replace(c, h=c.h.T.copy()) for c in rep.candidates]
     best = None
     if rep.best is not None:

