@@ -211,7 +211,8 @@ def load_pgm(path) -> Image:
     """Read a P2 (ASCII) or P5 (binary) PGM file into an Image.
 
     Raw integer samples are converted to float64 unchanged; maxval up to
-    65535 is accepted (two-byte big-endian samples in P5).
+    65535 is accepted (two-byte big-endian samples in P5), and a sample
+    outside [0, maxval] is rejected.
     """
     data = Path(path).read_bytes()
     if len(data) < 2:
@@ -258,6 +259,8 @@ def load_pgm(path) -> Image:
             except ValueError:
                 raise MalformedPgmHeader(f"invalid sample token {tok!r}") from None
         arr = np.array(vals, dtype=np.float64)
+    if arr.min() < 0 or arr.max() > maxval:
+        raise MalformedPgmHeader(f"sample outside [0, maxval {maxval}]")
     return Image(arr.reshape(height, width))
 
 

@@ -5,8 +5,8 @@ zero-padded blur and inverse-transforms; because the observed size equals
 the full-convolution size, circular and linear convolution coincide and the
 division is exact for noise-free data.  A blur whose transform nearly
 vanishes somewhere on the DFT grid makes that division unstable, so an
-independent least-squares route (normal equations of the linear convolution
-operator) backs it up.
+independent least-squares route (CGLS on the convolution and its adjoint)
+backs it up.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ log = logging.getLogger("zerosheet.restore")
 
 # Below this min|H|/max|H| on the DFT grid, spectral division is refused.
 UNSTABLE_TOL = 1e-9
+
+# CGLS stops at ||A^T r|| / ||A^T g|| <= _CGLS_TOL or at the per-pixel cap.
+_CGLS_TOL = 1e-15
+_CGLS_MAX_ITER_PER_UNKNOWN = 4
 
 
 class RestoreMethod(enum.Enum):
@@ -106,39 +110,34 @@ def spectral_restore(g: Image, h: Image) -> RestorationResult:
     )
 
 
-def _convolution_operator(h: Image, fh: int, fw: int) -> np.ndarray:
-    """Dense matrix of full convolution by h acting on an fh x fw image."""
-    hh, hw = h.pixels.shape
-    gh, gw = fh + hh - 1, fw + hw - 1
-    T = np.zeros((gh * gw, fh * fw))
-    cols_x = np.arange(fw)
-    for b in range(hh):
-        for a in range(hw):
-            w = h.pixels[b, a]
-            for y in range(fh):
-                rows = (y + b) * gw + cols_x + a
-                cols = y * fw + cols_x
-                T[rows, cols] += w
-    return T
-
-
 def least_squares_restore(g: Image, h: Image) -> RestorationResult:
-    """Restore by solving the normal equations of the convolution operator.
+    """Restore by CGLS, conjugate gradients on min ||convolve(f, h) - g||.
 
     Independent of the spectral route and immune to DFT-grid zeros of the
-    blur transform; any nonzero blur gives a full-column-rank operator.
+    blur transform.  The adjoint is :func:`convolve` by the flipped blur,
+    cropped, so memory stays linear in the pixel count.  An observed image
+    with no component in the range of the convolution restores to zeros.
     """
     _check_restore_inputs(g, h)
-    fh = g.height - h.height + 1
-    fw = g.width - h.width + 1
-    T = _convolution_operator(h, fh, fw)
-    ata = T.T @ T
-    atb = T.T @ g.pixels.ravel()
-    try:
-        sol = np.linalg.solve(ata, atb)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateBlurError(f"normal equations singular: {exc}") from exc
-    out = Image(sol.reshape(fh, fw))
+    hh, hw = h.pixels.shape
+    fh, fw = g.height - hh + 1, g.width - hw + 1
+    # A^T r is the full convolution of r with the flipped blur, cropped
+    flipped = Image(h.pixels[::-1, ::-1])
+    crop = np.s_[hh - 1 : g.height, hw - 1 : g.width]
+    x, r = np.zeros((fh, fw)), g.pixels.copy()
+    s = p = convolve(Image(r), flipped).pixels[crop]
+    gamma = gamma0 = float(np.vdot(s, s))
+    for _ in range(_CGLS_MAX_ITER_PER_UNKNOWN * fh * fw):
+        if gamma <= _CGLS_TOL**2 * gamma0:
+            break
+        q = convolve(Image(p), h).pixels
+        alpha = gamma / float(np.vdot(q, q))
+        x += alpha * p
+        r -= alpha * q
+        s = convolve(Image(r), flipped).pixels[crop]
+        gamma, gamma_prev = float(np.vdot(s, s)), gamma
+        p = s + (gamma / gamma_prev) * p
+    out = Image(x)
     _, min_ratio = _grid_transform_ratio(g, h)
     return RestorationResult(
         image=out,

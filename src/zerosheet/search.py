@@ -528,8 +528,12 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     except SamplingError as exc:
         log.info("sampling failed: %s", exc)
         return _empty_report(cfg, q, sampling_failed=True)
-    slices = [slice_roots(P, pt.value) for pt in points]
     phases = tuple(pt.phase for pt in points)
+    # Every point shares the base point's degree in v; at degree 0 (a
+    # one-row image, say) there are no roots to track.
+    if slice_in_v(P, points[0].value).effective_degree == 0:
+        return _empty_report(cfg, q, phases)
+    slices = [slice_roots(P, pt.value) for pt in points]
     n_prime = slices[0].count
     k = n - 1
     if n_prime < k:

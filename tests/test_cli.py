@@ -96,6 +96,17 @@ class TestSearch:
         assert rep["status"] == "NO_BLUR_FOUND"
         assert rep["per_stage"][0]["accepted_combination"] is None
 
+    @pytest.mark.parametrize("width,height,n_prime", [(8, 1, 0), (1, 8, 7)])
+    def test_one_row_or_column_image_finds_no_blur(self, tmp_path, width, height, n_prime):
+        main(["synth", "--output", str(tmp_path / "d"), "--width", str(width),
+              "--height", str(height), "--seed", "3"])
+        rc = main(["search", "--input", str(tmp_path / "d" / "true.csv"),
+                   "--blur", "2x2", "--output", str(tmp_path / "r")])
+        assert rc == EXIT_NO_BLUR
+        rep = read_report(tmp_path / "r" / "report.json")
+        assert rep["status"] == "NO_BLUR_FOUND"
+        assert rep["per_stage"][0]["n_prime"] == n_prime
+
     def test_malformed_pgm(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\nbroken")

@@ -203,6 +203,24 @@ class TestPgm:
         with pytest.raises(MalformedPgmHeader):
             load_pgm(path)
 
+    def test_p5_sample_above_maxval(self, tmp_path):
+        path = tmp_path / "j.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 200]))
+        with pytest.raises(MalformedPgmHeader, match="maxval"):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("raster", ["100 101", "-1 100"])
+    def test_p2_sample_outside_range(self, tmp_path, raster):
+        path = tmp_path / "k.pgm"
+        path.write_text(f"P2\n2 1\n100\n{raster}\n")
+        with pytest.raises(MalformedPgmHeader, match="maxval"):
+            load_pgm(path)
+
+    def test_sample_at_maxval_accepted(self, tmp_path):
+        path = tmp_path / "l.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 100]))
+        assert load_pgm(path).pixels.tolist() == [[0.0, 100.0]]
+
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):

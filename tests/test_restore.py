@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,78 @@ class TestLeastSquaresRestore:
         res = least_squares_restore(noisy, h)
         resid = np.linalg.norm(convolve(res.image, h).pixels - noisy.pixels)
         assert resid <= 1e-10 * np.linalg.norm(noisy.pixels)
+
+
+def dense_least_squares(g: Image, h: Image) -> np.ndarray:
+    """Oracle: the normal equations of the dense full-convolution matrix.
+
+    Column y * fw + x of T is the observed image of a unit impulse at
+    (x, y) of the fh x fw sharp image, flattened row-major.
+    """
+    hh, hw = h.pixels.shape
+    fh, fw = g.height - hh + 1, g.width - hw + 1
+    T = np.zeros((g.height * g.width, fh * fw))
+    cols_x = np.arange(fw)
+    for b in range(hh):
+        for a in range(hw):
+            for y in range(fh):
+                T[(y + b) * g.width + cols_x + a, y * fw + cols_x] += h.pixels[b, a]
+    return np.linalg.solve(T.T @ T, T.T @ g.samples).reshape(fh, fw)
+
+
+# 2x2, h00 + h11 = h10 + h01: the transform vanishes at (u, v) = (-1, -1),
+# a point of every even-sized DFT grid, and the kernel is not separable.
+GRID_NULL = Image([[0.25, 0.5], [0.375, 0.625]])
+
+
+def oracle_cases():
+    kernels = [synth_blur(m, n, 300 + 10 * m + n)
+               for m, n in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3))]
+    kernels += [Image([[1.0, -1.0]]), GRID_NULL]
+    for i, h in enumerate(kernels):
+        f = synth_image(9 + i % 3, 8 + i % 2, 40 + i)
+        for noise in (0.0, 1e-8, 1e-4):
+            yield pytest.param(f, h, noise, id=f"{h.width}x{h.height}-k{i}-noise{noise:g}")
+
+
+class TestLeastSquaresOracle:
+    @pytest.mark.parametrize("f,h,noise", oracle_cases())
+    def test_agrees_with_dense_normal_equations(self, f, h, noise):
+        g = convolve(f, h)
+        rng = np.random.default_rng(7)
+        scale = noise * np.max(np.abs(g.pixels))
+        g = Image(g.pixels + scale * rng.standard_normal(g.pixels.shape))
+        oracle = dense_least_squares(g, h)
+        got = least_squares_restore(g, h).image.pixels
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    def test_grid_null_kernel_is_unstable_for_division(self):
+        g = convolve(synth_image(9, 9, 1), GRID_NULL)
+        with pytest.raises(DivisionUnstableError):
+            spectral_restore(g, GRID_NULL)
+
+    def test_zero_observed_image_restores_to_zeros(self):
+        g = Image(np.zeros((9, 10)))
+        h = synth_blur(2, 3, 17)
+        res = least_squares_restore(g, h)
+        assert np.array_equal(dense_least_squares(g, h), np.zeros((7, 9)))
+        assert np.array_equal(res.image.pixels, np.zeros((7, 9)))
+        assert res.forward_residual == 0.0
+
+    def test_memory_linear_in_pixels(self):
+        # 64 x 64 observed, 63 x 63 unknowns: a dense operator alone is
+        # 4096 x 3969 doubles, 130 MB
+        f = synth_image(63, 63, 8)
+        g = convolve(f, GRID_NULL)
+        tracemalloc.start()
+        try:
+            res = least_squares_restore(g, GRID_NULL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+        assert np.max(np.abs(res.image.pixels - f.pixels)) <= 1e-9 * np.max(f.pixels)
 
 
 class TestFallback:

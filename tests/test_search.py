@@ -518,6 +518,14 @@ class TestSearchBlur:
         assert rep.combinations_evaluated == n_cand + rep.tracking_failures
         assert rep.combinations_evaluated == rep.combinations_total
 
+    def test_one_row_image_has_no_roots(self):
+        # the transform has degree 0 in v, so no slice has a root
+        img = synth_image(8, 1, 3)
+        rep = search_blur(ztransform(img), SearchConfig(blur_m=2, blur_n=2))
+        assert rep.n_prime == 0 and rep.best is None
+        assert rep.candidates == [] and rep.combinations_total == 0
+        assert not rep.sampling_failed
+
 
 class TestSearchImage:
     def test_axis_u_column_blur(self):
