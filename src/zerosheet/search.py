@@ -20,7 +20,10 @@ nearest-neighbour matching, and a combination tracks when each of its roots
 matches unambiguously at every step and no two of them end on the same
 root.  A combination that does not track is tried again on finer chains,
 each halving the phase step of the one before; a finer chain reuses every
-slice of the coarser one and solves only the new midpoints.
+slice of the coarser one and solves only the new midpoints.  Eigenvalue
+root finding runs only at the sample points: each midpoint starts from the
+roots of its coarser neighbour one sub-step away, so the rank test's inputs
+are the same as with a cold solve everywhere.
 """
 
 from __future__ import annotations
@@ -469,8 +472,11 @@ def _halve(
 
     The coarser slices sit at the even positions: halving the step is exact,
     so their phases are bit-equal to what this level would compute.  Only
-    the odd positions, the midpoints, are solved; one that is degenerate or
-    changes the root count stays empty and is skipped as a stepping stone.
+    the odd positions, the midpoints, are solved, each warm-started from the
+    roots of the coarser slice one sub-step before it (or after it, when
+    that slot is empty) rather than by a fresh eigenvalue solve.  A midpoint
+    that is degenerate or changes the root count stays empty and is skipped
+    as a stepping stone.
     """
     n_prime = chain[anchors[0]].count
     sub = cfg.phase_step / 2**level
@@ -478,8 +484,10 @@ def _halve(
     finer[::2] = chain
     for t in range(2 * anchors[0] + 1, 2 * anchors[-1], 2):
         u = unit_point(cfg.base_phase + t * sub)
+        neighbour = finer[t - 1] if finer[t - 1] is not None else finer[t + 1]
+        guesses = None if neighbour is None else neighbour.roots
         try:
-            rs = slice_roots(P, u)
+            rs = slice_roots(P, u, guesses=guesses)
         except (ZeroPolynomialError, RootFindingError):
             continue
         if rs.count == n_prime:
@@ -529,10 +537,6 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
         log.info("sampling failed: %s", exc)
         return _empty_report(cfg, q, sampling_failed=True)
     phases = tuple(pt.phase for pt in points)
-    # Every point shares the base point's degree in v; at degree 0 (a
-    # one-row image, say) there are no roots to track.
-    if slice_in_v(P, points[0].value).effective_degree == 0:
-        return _empty_report(cfg, q, phases)
     slices = [slice_roots(P, pt.value) for pt in points]
     n_prime = slices[0].count
     k = n - 1

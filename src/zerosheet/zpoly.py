@@ -47,6 +47,11 @@ ROOT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 
 _NEWTON_MAX_ITER = 40
+# Aberth steps a warm-started solve may take before it falls back to the
+# companion-matrix eigenvalues.
+_ABERTH_MAX_ITER = 50
+# Relative bound on |sum(roots) + a_{d-1} / a_d| for a warm-started root set.
+_VIETA_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,21 +154,30 @@ def residual_scale(coeffs: np.ndarray, z):
     return np.polyval(np.abs(coeffs)[::-1], np.abs(z))
 
 
-def find_roots(p: UniPoly, tol_root: float = ROOT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def find_roots(
+    p: UniPoly, tol_root: float = ROOT_TOL, *, guesses=None
+) -> tuple[np.ndarray, np.ndarray]:
     """All roots of p, Newton-polished, in deterministic order.
 
-    Initial estimates come from the companion-matrix eigenvalues; all of
-    them are then polished together by Newton iteration on the original
-    coefficients until ``|p(root)| <= tol_root * sum_y |a_y| |root|^y``.
-    The bound scales with the evaluation magnitude at the root, so roots
-    outside the unit circle get the same relative accuracy as roots inside.
-    Returns (roots, residuals) sorted by real part, then imaginary part;
-    raises :class:`RootFindingError` if any root misses its bound.
+    Initial estimates come from the companion-matrix eigenvalues, or, when
+    ``guesses`` holds the roots of a nearby polynomial, from Aberth
+    iterations started there (see :func:`_aberth`); a warm start that fails
+    any of its guards falls back to the eigenvalues.  Either way all
+    estimates are then polished together by Newton iteration on the
+    original coefficients until ``|p(root)| <= tol_root * sum_y |a_y|
+    |root|^y``.  The bound scales with the evaluation magnitude at the root,
+    so roots outside the unit circle get the same relative accuracy as
+    roots inside.  Returns (roots, residuals) sorted by real part, then
+    imaginary part; raises :class:`RootFindingError` if any root misses its
+    bound.
     """
     d = p.effective_degree
     if d < 1:
         raise ValueError("find_roots requires effective degree >= 1")
-    roots, residuals, scales = _polish(p.coeffs, np.roots(p.coeffs[::-1]), tol_root)
+    start = None if guesses is None else _aberth(p.coeffs, guesses, tol_root)
+    if start is None:
+        start = np.roots(p.coeffs[::-1])
+    roots, residuals, scales = _polish(p.coeffs, start, tol_root)
     missed = residuals > tol_root * scales
     if missed.any():
         worst_rel = float(np.max(residuals[missed] / scales[missed]))
@@ -173,6 +187,80 @@ def find_roots(p: UniPoly, tol_root: float = ROOT_TOL) -> tuple[np.ndarray, np.n
         )
     order = np.lexsort((roots.imag, roots.real))
     return roots[order], residuals[order]
+
+
+def _aberth(coeffs: np.ndarray, guesses, tol_root: float) -> np.ndarray | None:
+    """Simultaneous Aberth-Ehrlich iteration from ``guesses``.
+
+    Each step moves every root z_k that has not yet met the residual bound
+    twice in a row by N_k / (1 - N_k S_k), with the Newton step
+    N_k = p(z_k) / p'(z_k) and the repulsion S_k = sum_{j != k} 1 / (z_k - z_j),
+    at O(d^2) cost.  Returns the roots once all of them meet the bound, or
+    None when the guesses are not one finite estimate per root, an iterate
+    turns non-finite, the bound is still missed after ``_ABERTH_MAX_ITER``
+    steps, two results lie closer than ``CLUSTER_TOL``, or their sum misses
+    -a_{d-1} / a_d (Vieta).
+    """
+    d = len(coeffs) - 1
+    z = np.array(guesses, dtype=np.complex128)
+    if z.shape != (d,) or not np.isfinite(z).all():
+        return None
+    active = np.arange(d)
+    met = np.zeros(d, dtype=bool)
+    with np.errstate(all="ignore"):
+        for it in range(_ABERTH_MAX_ITER + 1):
+            za = z[active]
+            pv, dv, scale = _evaluate(coeffs, za)
+            ok = np.abs(pv) <= tol_root * scale
+            # a root stops once it meets the bound both before and after one
+            # more step, which leaves it accurate to about round-off
+            go = ~(ok & met[active])
+            met[active] = ok
+            if not go.any():
+                break
+            if it == _ABERTH_MAX_ITER:
+                return None
+            # converged roots stay put; the rest still feel their repulsion
+            newton = pv[go] / dv[go]
+            active, za = active[go], za[go]
+            dr = np.subtract.outer(za.real, z.real)
+            di = np.subtract.outer(za.imag, z.imag)
+            dist2 = dr * dr + di * di
+            dist2[np.arange(len(active)), active] = np.inf
+            repulsion = (dr / dist2).sum(axis=1) - 1j * (di / dist2).sum(axis=1)
+            z[active] = za - newton / (1.0 - newton * repulsion)
+            if not np.isfinite(z[active]).all():
+                return None
+    if _min_separation(z) < CLUSTER_TOL:
+        return None
+    if abs(z.sum() + coeffs[-2] / coeffs[-1]) > _VIETA_TOL * np.abs(z).sum():
+        return None
+    return z
+
+
+def _evaluate(coeffs: np.ndarray, z: np.ndarray):
+    """p(z), p'(z) and the residual scale at every point of z, from one
+    matrix of powers built by repeated doubling (row j holds ``z**j``)."""
+    d = len(coeffs) - 1
+    pows = np.empty((d + 1, len(z)), dtype=np.complex128)
+    pows[0] = 1.0
+    n, zn = 1, z
+    while n <= d:
+        m = min(n, d + 1 - n)
+        np.multiply(pows[:m], zn, out=pows[n : n + m])
+        zn = zn * zn
+        n *= 2
+    deriv = coeffs[1:] * np.arange(1, d + 1)
+    return coeffs @ pows, deriv @ pows[:-1], np.abs(coeffs) @ np.abs(pows)
+
+
+def _min_separation(roots: np.ndarray) -> float:
+    """Smallest distance between two of the roots (inf for fewer than two)."""
+    if len(roots) < 2:
+        return np.inf
+    dist = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
 
 
 def _polish(coeffs: np.ndarray, guesses: np.ndarray, tol_root: float):
@@ -232,21 +320,26 @@ def slice_roots(
     u: complex,
     trim_tol: float = TRIM_TOL,
     tol_root: float = ROOT_TOL,
+    *,
+    guesses=None,
 ) -> RootSlice:
-    """Slice at u and solve: the full root set with residual diagnostics."""
+    """Slice at u and solve: the full root set with residual diagnostics.
+
+    A slice of degree 0 has no roots and gives an empty root set.
+    ``guesses``, the roots of a nearby slice, warm-start the solve (see
+    :func:`find_roots`).
+    """
     poly = slice_in_v(P, u, trim_tol)
-    roots, residuals = find_roots(poly, tol_root)
-    clustered = False
-    if len(roots) > 1:
-        dist = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(dist, np.inf)
-        clustered = bool(dist.min() < CLUSTER_TOL)
+    if poly.effective_degree == 0:
+        roots, residuals = np.empty(0, dtype=np.complex128), np.empty(0)
+    else:
+        roots, residuals = find_roots(poly, tol_root, guesses=guesses)
     return RootSlice(
         sample_point=complex(u),
         leading_coeff=complex(poly.coeffs[-1]),
         roots=roots,
         residuals=residuals,
-        clustered=clustered,
+        clustered=_min_separation(roots) < CLUSTER_TOL,
     )
 
 

@@ -236,6 +236,17 @@ class TestRoots:
         rep = read_report(tmp_path / "r" / "report.json")
         assert rep["points"][0]["degenerate"] is True
 
+    def test_one_row_image_has_no_roots(self, tmp_path):
+        inp = tmp_path / "row.csv"
+        inp.write_text("1,2,3,4\n")
+        out = tmp_path / "r"
+        rc = main(["roots", "--input", str(inp), "--output", str(out), "--points", "2"])
+        assert rc == EXIT_OK
+        points = read_report(out / "report.json")["points"]
+        assert [(p["degenerate"], p["n_prime"], p["roots"]) for p in points] == [
+            (False, 0, []), (False, 0, [])
+        ]
+
     def test_each_point_sliced_once(self, tmp_path, monkeypatch):
         main(synth_args(tmp_path / "d", width=10, height=10))
         calls = []

@@ -511,6 +511,30 @@ class TestSearchBlur:
         assert len(solved) > rep.q
         assert max(solved.values()) == 1, solved.most_common(3)
 
+    def test_eigen_solves_only_at_sample_points(self, monkeypatch):
+        # this search refines through all four halving levels: 4 sample
+        # points plus 3 + 6 + 12 + 24 midpoints, each solved once, and only
+        # the sample points by companion-matrix eigenvalues
+        img = convolve(synth_image(64, 64, 5), synth_blur(2, 2, 6))
+        eigen, solved = [], []
+        real_roots = np.roots
+        slice_roots_ = zerosheet.search.slice_roots
+
+        def counting_roots(c):
+            eigen.append(len(c))
+            return real_roots(c)
+
+        def counting_slices(P, u, *args, **kwargs):
+            solved.append(u)
+            return slice_roots_(P, u, *args, **kwargs)
+
+        monkeypatch.setattr(np, "roots", counting_roots)
+        monkeypatch.setattr(zerosheet.search, "slice_roots", counting_slices)
+        rep = search_image(img, SearchConfig(blur_m=2, blur_n=2, phase_step=0.1))
+        assert rep.best is not None and rep.tracking_failures > 0
+        assert len(eigen) == rep.q == 4
+        assert len(solved) == 49
+
     def test_counters_add_up(self):
         _, _, g = exact_model(seed=11, fw=12, fh=12, m=2, n=2)
         rep = search_blur(ztransform(g), SearchConfig(blur_m=2, blur_n=2, phase_step=0.3))

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import exact_model, protocol_data
@@ -17,7 +19,14 @@ from zerosheet import (
     unit_point,
     ztransform,
 )
-from zerosheet.zpoly import _NEWTON_MAX_ITER, ROOT_TOL, BivariatePoly, _polish, residual_scale
+from zerosheet.zpoly import (
+    _NEWTON_MAX_ITER,
+    ROOT_TOL,
+    BivariatePoly,
+    _min_separation,
+    _polish,
+    residual_scale,
+)
 
 ONES2 = Image([[1.0, 1.0], [1.0, 1.0]])
 EPS = np.finfo(float).eps
@@ -152,6 +161,63 @@ class TestFindRoots:
         img_like = BivariatePoly(rs_coeffs.reshape(1, -1))
         rs = slice_roots(img_like, 0.7)
         assert rs.clustered
+
+    def test_degree_zero_slice_has_no_roots(self):
+        # a one-row image has degree 0 in v at every u
+        P = ztransform(Image([[1.0, 2.0, 3.0, 4.0]]))
+        u = unit_point(0.3)
+        rs = slice_roots(P, u)
+        assert rs.count == 0 and not rs.clustered
+        assert rs.roots.dtype == np.complex128 and rs.residuals.shape == (0,)
+        assert rs.leading_coeff == slice_in_v(P, u).coeffs[0]
+
+
+def count_eigen_solves():
+    """Patch ``np.roots`` to record each call; returns the patch and the list."""
+    calls = []
+    real = np.roots
+
+    def counting(c):
+        calls.append(len(c))
+        return real(c)
+
+    return mock.patch.object(np, "roots", counting), calls
+
+
+class TestWarmStart:
+    @settings(max_examples=40, deadline=None)
+    @given(degree=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
+    def test_matches_cold_solve(self, degree, seed):
+        # random complex coefficients keep the roots well conditioned at
+        # every degree; guesses are the roots moved by 1e-10 to 1e-2 relative
+        rng = np.random.default_rng(seed)
+        p = UniPoly(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+        cold, _ = find_roots(p)
+        assume(_min_separation(cold) > 1e-3)
+        size = 10 ** rng.uniform(-10, -2, degree)
+        guesses = cold * (1 + size * np.exp(2j * np.pi * rng.uniform(size=degree)))
+        patch, eigen = count_eigen_solves()
+        with patch:
+            warm, _ = find_roots(p, guesses=rng.permutation(guesses))
+        assert eigen == []
+        assert np.all(np.abs(warm - cold) <= 1e-9 * np.abs(cold))
+
+    @pytest.mark.parametrize("kind", ["short", "long", "all_equal", "nan", "duplicated_pair"])
+    def test_bad_guesses_fall_back_to_eigenvalues(self, kind):
+        p = UniPoly(elementary_symmetric_coeffs(separated_roots(5, 8)))
+        cold, _ = find_roots(p)
+        guesses = {
+            "short": cold[:-1],
+            "long": np.append(cold, 0.5),
+            "all_equal": np.full(8, cold[2]),
+            "nan": np.where(np.arange(8) == 3, np.nan, cold),
+            "duplicated_pair": np.append(cold[:-1], cold[0]),
+        }[kind]
+        patch, eigen = count_eigen_solves()
+        with patch:
+            warm, _ = find_roots(p, guesses=guesses)
+        assert eigen == [9]
+        assert np.array_equal(warm, cold)
 
 
 def horner_pair(coeffs, z):
