@@ -217,21 +217,22 @@ def pipeline(g: Image, sizes, cfg: SearchConfig) -> PipelineResult:
     """Remove several blurs in the given (m, n) order, feeding each result on.
 
     Stops at the first stage that finds no blur and returns the stages
-    completed so far together with the failing stage's index.
+    completed so far together with the failing stage's index.  Every
+    stage's configuration is checked before the first search runs.
     """
-    sizes = list(sizes)
-    if not sizes:
+    stage_cfgs = [replace(cfg, blur_m=int(m), blur_n=int(n)) for m, n in sizes]
+    if not stage_cfgs:
         raise ValueError("pipeline needs at least one blur size")
     current = g
     stages: list[StageResult] = []
-    for idx, (m, n) in enumerate(sizes, start=1):
-        stage_cfg = replace(cfg, blur_m=int(m), blur_n=int(n))
+    for idx, stage_cfg in enumerate(stage_cfgs, start=1):
         t0 = time.perf_counter()
         try:
             candidate, restoration, report = remove_blur(current, stage_cfg)
         except NoBlurFoundError as exc:
             wall = (time.perf_counter() - t0) * 1e3
-            log.info("pipeline stage %d (%dx%d) found no blur", idx, m, n)
+            log.info("pipeline stage %d (%dx%d) found no blur", idx,
+                     stage_cfg.blur_m, stage_cfg.blur_n)
             return PipelineResult(
                 stages=stages,
                 failed_stage=idx,

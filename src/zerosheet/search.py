@@ -19,11 +19,12 @@ combination: every base root is followed across the sample points by
 nearest-neighbour matching, and a combination tracks when each of its roots
 matches unambiguously at every step and no two of them end on the same
 root.  A combination that does not track is tried again on finer chains,
-each halving the phase step of the one before; a finer chain reuses every
-slice of the coarser one and solves only the new midpoints.  Eigenvalue
-root finding runs only at the sample points: each midpoint starts from the
-roots of its coarser neighbour one sub-step away, so the rank test's inputs
-are the same as with a cold solve everywhere.
+each halving the phase step of the one before.  All refinement levels are
+solved up front, coarsest first, as one chain at the finest step; each
+coarser chain is a strided view of it.  Eigenvalue root finding runs only
+at the sample points: each midpoint starts from the roots of its coarser
+neighbour one sub-step away, so the rank test's inputs are the same as with
+a cold solve everywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import enum
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -146,14 +147,11 @@ class SheetTrack:
     """A candidate root set followed across all sample points.
 
     ``per_point_roots[0]`` holds the chosen base-point roots; entry j holds
-    their matched counterparts at sample point j + 1.  ``tracking_margins``
-    records the worst (largest) nearest/second-nearest distance ratio seen
-    at each step.
+    their matched counterparts at sample point j + 1.
     """
 
     combination: tuple[int, ...]
     per_point_roots: tuple[np.ndarray, ...]
-    tracking_margins: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +183,14 @@ class SearchReport:
     blur_n: int
     q: int
     axis: Axis
-    sample_phases: tuple[float, ...]
-    n_prime: int
-    candidates: list[BlurCandidate]
-    best: BlurCandidate | None
-    combinations_total: int
-    combinations_evaluated: int
-    tracking_failures: int
-    truncated: bool
+    sample_phases: tuple[float, ...] = ()
+    n_prime: int = 0
+    candidates: list[BlurCandidate] = field(default_factory=list)
+    best: BlurCandidate | None = None
+    combinations_total: int = 0
+    combinations_evaluated: int = 0
+    tracking_failures: int = 0
+    truncated: bool = False
     sampling_failed: bool = False
 
 
@@ -433,86 +431,65 @@ def _track_chain(
     anchors: list[int],
     chain: list[RootSlice | None],
     tol_track_ratio: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Follow every base root along a chain of slices.
 
     ``chain[anchors[j]]`` is the slice at sample point j; empty entries are
-    skipped.  Returns each root's index at every anchor (shape q x n'),
-    whether it matched unambiguously at every step, and its worst ambiguity
-    ratio between consecutive anchors (shape n' x (q - 1)).  Two roots that
-    meet at some step follow the same path from there on, so roots that end
-    on distinct indices never collided.
+    skipped.  Returns each root's index at every anchor (shape q x n') and
+    whether it matched unambiguously at every step.  Two roots that meet at
+    some step follow the same path from there on, so roots that end on
+    distinct indices never collided.
     """
     current = chain[anchors[0]]
     idx = np.arange(current.count)
     ok = np.ones(current.count, dtype=bool)
-    worst = np.zeros((current.count, len(anchors) - 1))
     at_anchors = [idx]
     for j in range(1, len(anchors)):
         for nxt in chain[anchors[j - 1] + 1 : anchors[j] + 1]:
             if nxt is None:
                 continue
-            nearest, ratio, passed = _match(current.roots, nxt.roots, tol_track_ratio)
+            nearest, _, passed = _match(current.roots, nxt.roots, tol_track_ratio)
             ok &= passed[idx]
-            worst[:, j - 1] = np.maximum(worst[:, j - 1], ratio[idx])
             idx = nearest[idx]
             current = nxt
         at_anchors.append(idx)
-    return np.array(at_anchors), ok, worst
+    return np.array(at_anchors), ok
 
 
-def _halve(
+def _solve_chain(
     P: BivariatePoly,
     cfg: SearchConfig,
     anchors: list[int],
-    chain: list[RootSlice | None],
-    level: int,
-) -> tuple[list[int], list[RootSlice | None]]:
-    """The chain at ``level`` from the chain one level coarser.
+    slices: list[RootSlice],
+) -> list[RootSlice | None]:
+    """The finest tracking chain, 2**_MAX_HALVINGS entries per phase step.
 
-    The coarser slices sit at the even positions: halving the step is exact,
-    so their phases are bit-equal to what this level would compute.  Only
-    the odd positions, the midpoints, are solved, each warm-started from the
+    Entry s lies at phase ``base_phase + s * (phase_step / 2**_MAX_HALVINGS)``,
+    so ``chain[::2**(_MAX_HALVINGS - L)]`` is the chain of halving level L.
+    Levels are solved coarsest first, each midpoint warm-started from the
     roots of the coarser slice one sub-step before it (or after it, when
-    that slot is empty) rather than by a fresh eigenvalue solve.  A midpoint
-    that is degenerate or changes the root count stays empty and is skipped
-    as a stepping stone.
+    that slot is empty).  Degenerate midpoints, midpoints that change the
+    root count and the slots of replaced sample points stay empty.
     """
-    n_prime = chain[anchors[0]].count
-    sub = cfg.phase_step / 2**level
-    finer: list[RootSlice | None] = [None] * (2 * len(chain) - 1)
-    finer[::2] = chain
-    for t in range(2 * anchors[0] + 1, 2 * anchors[-1], 2):
-        u = unit_point(cfg.base_phase + t * sub)
-        neighbour = finer[t - 1] if finer[t - 1] is not None else finer[t + 1]
-        guesses = None if neighbour is None else neighbour.roots
-        try:
-            rs = slice_roots(P, u, guesses=guesses)
-        except (ZeroPolynomialError, RootFindingError):
-            continue
-        if rs.count == n_prime:
-            finer[t] = rs
-    log.debug("built tracking chain at halving level %d", level)
-    return [2 * a for a in anchors], finer
-
-
-def _empty_report(cfg: SearchConfig, q: int, phases=(), n_prime=0, total=0,
-                  sampling_failed=False) -> SearchReport:
-    return SearchReport(
-        blur_m=cfg.blur_m,
-        blur_n=cfg.blur_n,
-        q=q,
-        axis=cfg.axis,
-        sample_phases=tuple(phases),
-        n_prime=n_prime,
-        candidates=[],
-        best=None,
-        combinations_total=total,
-        combinations_evaluated=0,
-        tracking_failures=0,
-        truncated=False,
-        sampling_failed=sampling_failed,
-    )
+    n_prime = slices[0].count
+    scale = 2**_MAX_HALVINGS
+    chain: list[RootSlice | None] = [None] * (scale * anchors[-1] + 1)
+    for a, rs in zip(anchors, slices):
+        chain[scale * a] = rs
+    for level in range(1, _MAX_HALVINGS + 1):
+        sub = scale >> level
+        for s in range(scale * anchors[0] + sub, scale * anchors[-1], 2 * sub):
+            u = unit_point(cfg.base_phase + s * (cfg.phase_step / scale))
+            neighbour = chain[s - sub] if chain[s - sub] is not None else chain[s + sub]
+            guesses = None if neighbour is None else neighbour.roots
+            try:
+                rs = slice_roots(P, u, guesses=guesses)
+            except (ZeroPolynomialError, RootFindingError):
+                continue
+            if rs.count == n_prime:
+                chain[s] = rs
+    log.debug("solved tracking chains at halving levels 1-%d", _MAX_HALVINGS)
+    return chain
 
 
 def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
@@ -535,35 +512,29 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
         points = choose_sample_points(q, cfg, P)
     except SamplingError as exc:
         log.info("sampling failed: %s", exc)
-        return _empty_report(cfg, q, sampling_failed=True)
+        return SearchReport(m, n, q, cfg.axis, sampling_failed=True)
     phases = tuple(pt.phase for pt in points)
     slices = [slice_roots(P, pt.value) for pt in points]
     n_prime = slices[0].count
     k = n - 1
     if n_prime < k:
-        return _empty_report(cfg, q, phases, n_prime, total=0)
+        return SearchReport(m, n, q, cfg.axis, sample_phases=phases, n_prime=n_prime)
     total = math.comb(n_prime, k)
     truncated = total > cfg.max_combinations
 
-    # Level 0 steps from sample point to sample point.  A point that sampling
-    # replaced leaves an empty slot, which stays empty at every finer level:
-    # its slice is degenerate or has the wrong root count.  Level L is built
-    # from level L - 1, and only once some combination has failed to track at
-    # every level below it.
+    # Level 0 steps from sample point to sample point, level L in steps of
+    # phase_step / 2**L.
     anchors = [round((pt.phase - cfg.base_phase) / cfg.phase_step) for pt in points]
-    chain: list[RootSlice | None] = [None] * (anchors[-1] + 1)
-    for a, rs in zip(anchors, slices):
-        chain[a] = rs
-    levels = [_track_chain(anchors, chain, cfg.tol_track_ratio)]
+    chain = _solve_chain(P, cfg, anchors, slices)
+    levels = []
+    for level in range(_MAX_HALVINGS + 1):
+        view = chain[:: 2 ** (_MAX_HALVINGS - level)]
+        levels.append(_track_chain([a * 2**level for a in anchors], view, cfg.tol_track_ratio))
     outcomes: list[BlurCandidate | None] = []
     for combo in enumerate_combinations(n_prime, k, cfg.max_combinations):
         sel = list(combo)
         cand = None
-        for level in range(_MAX_HALVINGS + 1):
-            if level == len(levels):
-                anchors, chain = _halve(P, cfg, anchors, chain, level)
-                levels.append(_track_chain(anchors, chain, cfg.tol_track_ratio))
-            at_anchors, ok, worst = levels[level]
+        for at_anchors, ok in levels:
             if not ok[sel].all() or len(set(at_anchors[-1, sel].tolist())) < k:
                 continue
             # The rank test always runs on the sample points themselves, so
@@ -573,7 +544,6 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
                 per_point_roots=tuple(
                     rs.roots[idx] for rs, idx in zip(slices, at_anchors[:, sel])
                 ),
-                tracking_margins=tuple(worst[sel].max(axis=0).tolist()),
             )
             A = build_system(track, points, m, n)
             sigma_min, sigma_second, xi = nullspace_min(A)

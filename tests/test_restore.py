@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import exact_model, images_close, protocol_config, unit_sum
+import zerosheet.restore
 from zerosheet import (
     Axis,
+    AxisError,
     DegenerateBlurError,
     DivisionUnstableError,
     Image,
@@ -252,6 +254,22 @@ class TestPipeline:
         a = unit_sum(r_a.final_image.pixels)
         b = unit_sum(r_b.final_image.pixels)
         assert np.max(np.abs(a - b)) <= 1e-6
+
+    def test_bad_later_size_rejected_before_any_search(self, monkeypatch):
+        # a 3 x 1 blur has no roots in v, so stage 2 cannot be configured;
+        # that must stop the pipeline before stage 1 searches
+        searched = []
+        search_image_ = zerosheet.restore.search_image
+
+        def recording(img, cfg):
+            searched.append(cfg)
+            return search_image_(img, cfg)
+
+        monkeypatch.setattr(zerosheet.restore, "search_image", recording)
+        f, h, g = exact_model(seed=6, fw=12, fh=12, m=2, n=2)
+        with pytest.raises(AxisError):
+            pipeline(g, [(2, 2), (3, 1)], SearchConfig(blur_m=2, blur_n=2))
+        assert searched == []
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -199,28 +199,24 @@ def match_selected(prev_roots, next_roots, selected, tol_track_ratio):
 
 def walk_combination(anchors, chain, combo, tol_track_ratio):
     """Reference oracle: carry one combination along the chain with
-    ``match_selected``.  Returns its indices at every anchor and its worst
-    ratio between consecutive anchors, or None when matching breaks."""
+    ``match_selected``.  Returns its indices at every anchor, or None when
+    matching breaks."""
     selected = tuple(combo)
     at_anchors = [selected]
-    margins = []
     current = chain[anchors[0]]
     for j in range(1, len(anchors)):
-        worst = 0.0
         for nxt in chain[anchors[j - 1] + 1 : anchors[j] + 1]:
             if nxt is None:
                 continue
             try:
-                selected, margin = match_selected(
+                selected, _ = match_selected(
                     current.roots, nxt.roots, selected, tol_track_ratio
                 )
             except TrackingError:
                 return None
-            worst = max(worst, margin)
             current = nxt
         at_anchors.append(selected)
-        margins.append(worst)
-    return at_anchors, margins
+    return at_anchors
 
 
 @st.composite
@@ -257,7 +253,7 @@ class TestTrackChain:
     @given(root_chains())
     def test_matches_per_combination_oracle(self, drawn):
         anchors, chain, tol = drawn
-        at_anchors, ok, worst = _track_chain(anchors, chain, tol)
+        at_anchors, ok = _track_chain(anchors, chain, tol)
         n = chain[0].count
         for k in range(1, min(n, 3) + 1):
             for combo in itertools.combinations(range(n), k):
@@ -266,9 +262,7 @@ class TestTrackChain:
                 walked = walk_combination(anchors, chain, combo, tol)
                 assert tracked == (walked is not None), combo
                 if walked is not None:
-                    expected, margins = walked
-                    assert [tuple(row) for row in at_anchors[:, sel].tolist()] == expected
-                    assert worst[sel].max(axis=0).tolist() == margins
+                    assert [tuple(row) for row in at_anchors[:, sel].tolist()] == walked
 
     @settings(max_examples=300, deadline=None)
     @given(root_chains())
@@ -323,7 +317,6 @@ def ground_truth_track(g, h, q, base=0.3, step=0.01):
     track = SheetTrack(
         combination=combo,
         per_point_roots=tuple(per_point),
-        tracking_margins=(0.0,) * (q - 1),
     )
     return track, points
 
@@ -361,8 +354,7 @@ class TestBuildSystem:
     def test_row_encoding(self):
         # row (j, y) carries u^x powers in the y-block and -c_y in column mn+j
         pts = [SamplePoint(index=1, value=2.0 + 0j, phase=0.0)]
-        tr = SheetTrack(combination=(0,), per_point_roots=(np.array([3.0 + 0j]),),
-                        tracking_margins=())
+        tr = SheetTrack(combination=(0,), per_point_roots=(np.array([3.0 + 0j]),))
         A = build_system(tr, pts, 2, 2)
         c = elementary_symmetric_coeffs([3.0 + 0j])
         assert A.shape == (2, 5)
@@ -549,6 +541,70 @@ class TestSearchBlur:
         assert rep.n_prime == 0 and rep.best is None
         assert rep.candidates == [] and rep.combinations_total == 0
         assert not rep.sampling_failed
+
+
+class TestChainEmptySlots:
+    """Midpoints next to an empty chain slot.
+
+    The box [[1, 1]] adds the transform factor 1 + u, so the slice at u = -1
+    (phase pi) is the zero polynomial and its slot stays empty: either a
+    sample point is replaced, or a level-1 midpoint is skipped.  Every
+    midpoint whose left neighbour is that slot starts from the roots of its
+    right neighbour instead.
+    """
+
+    STEP = 0.32
+
+    def search(self, monkeypatch, base_phase):
+        blur = synth_blur(2, 2, 101)
+        img = convolve(convolve(synth_image(24, 24, 1), blur), Image([[1.0, 1.0]]))
+        calls = []
+        slice_roots_ = zerosheet.search.slice_roots
+
+        def recording(P, u, guesses=None):
+            # [point, guesses, slice]; the slice stays None when solving raises
+            call = [u, guesses, None]
+            calls.append(call)
+            call[2] = slice_roots_(P, u, guesses=guesses)
+            return call[2]
+
+        monkeypatch.setattr(zerosheet.search, "slice_roots", recording)
+        cfg = SearchConfig(blur_m=2, blur_n=2, base_phase=base_phase, phase_step=self.STEP)
+        rep = search_image(img, cfg)
+        assert rep.best is not None and rep.best.combination == (0,)
+        assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(blur)))) <= 1e-12
+        assert all(abs(p - math.pi) > 1e-9 for p in rep.sample_phases)
+        return rep, calls
+
+    @staticmethod
+    def solved_at(calls, phase):
+        hits = [c for c in calls if abs(c[0] - unit_point(phase)) <= 1e-12]
+        assert len(hits) == 1, phase
+        return hits[0]
+
+    def assert_right_neighbour_starts(self, calls, phases):
+        # the midpoint at pi + d starts from the slice at pi + 2d
+        for d in phases:
+            _, guesses, _ = self.solved_at(calls, math.pi + d)
+            assert guesses is self.solved_at(calls, math.pi + 2 * d)[2].roots, d
+
+    def test_replaced_sample_point(self, monkeypatch):
+        rep, calls = self.search(monkeypatch, math.pi - self.STEP)
+        s = self.STEP
+        assert rep.sample_phases == pytest.approx(
+            [math.pi - s, math.pi + s, math.pi + 2 * s, math.pi + 3 * s], abs=1e-12
+        )
+        assert not any(abs(c[0] + 1.0) <= 1e-12 for c in calls)
+        self.assert_right_neighbour_starts(calls, [s / 2, s / 4, s / 8, s / 16])
+
+    def test_degenerate_midpoint(self, monkeypatch):
+        rep, calls = self.search(monkeypatch, math.pi - self.STEP / 2)
+        s = self.STEP
+        assert rep.sample_phases == pytest.approx(
+            [math.pi - s / 2 + j * s for j in range(4)], abs=1e-12
+        )
+        assert self.solved_at(calls, math.pi)[2] is None
+        self.assert_right_neighbour_starts(calls, [s / 4, s / 8, s / 16])
 
 
 class TestSearchImage:
