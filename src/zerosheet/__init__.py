@@ -10,102 +10,14 @@ least-squares fallback).  See the README for the method outline and the
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AxisError,
-    CsvFormatError,
-    DegenerateBlurError,
-    DegenerateCandidateError,
-    DivisionUnstableError,
-    LinearAlgebraError,
-    MalformedPgmHeader,
-    NoBlurFoundError,
-    PgmError,
-    RootFindingError,
-    SamplingError,
-    TrackingError,
-    TruncatedPgmData,
-    UnsupportedPgmFormat,
-    ZeroPolynomialError,
-    ZeroSheetError,
-)
-from .image import (
-    Image,
-    convolve,
-    image_from_matrix,
-    load_csv,
-    load_image,
-    load_matrix_csv,
-    load_pgm,
-    matrix_from_image,
-    save_csv,
-    save_matrix_csv,
-    save_pgm,
-    synth_blur,
-    synth_image,
-    transpose,
-)
-from .restore import (
-    PipelineResult,
-    RestorationResult,
-    RestoreMethod,
-    StageResult,
-    least_squares_restore,
-    pipeline,
-    remove_blur,
-    restore_with_fallback,
-    spectral_restore,
-)
-from .search import (
-    Axis,
-    BlurCandidate,
-    SamplePoint,
-    SearchConfig,
-    SearchReport,
-    SheetTrack,
-    build_system,
-    choose_sample_points,
-    compute_q,
-    enumerate_combinations,
-    extract_blur,
-    nullspace_min,
-    search_blur,
-    search_image,
-    track_roots,
-)
-from .zpoly import (
-    BivariatePoly,
-    RootSlice,
-    UniPoly,
-    elementary_symmetric_coeffs,
-    find_roots,
-    slice_in_v,
-    slice_roots,
-    unit_point,
-    ztransform,
-)
+from . import errors, image, restore, search, zpoly
+from .errors import *  # noqa: F403
+from .image import *  # noqa: F403
+from .restore import *  # noqa: F403
+from .search import *  # noqa: F403
+from .zpoly import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # errors
-    "ZeroSheetError", "PgmError", "UnsupportedPgmFormat", "MalformedPgmHeader",
-    "TruncatedPgmData", "CsvFormatError", "ZeroPolynomialError", "RootFindingError",
-    "AxisError", "SamplingError", "TrackingError", "LinearAlgebraError",
-    "DegenerateCandidateError", "DivisionUnstableError", "DegenerateBlurError",
-    "NoBlurFoundError",
-    # images
-    "Image", "convolve", "transpose", "synth_image", "synth_blur",
-    "image_from_matrix", "matrix_from_image", "load_pgm", "save_pgm",
-    "load_csv", "save_csv", "load_image", "load_matrix_csv", "save_matrix_csv",
-    # polynomials
-    "BivariatePoly", "UniPoly", "RootSlice", "ztransform", "slice_in_v",
-    "find_roots", "slice_roots", "elementary_symmetric_coeffs", "unit_point",
-    # search
-    "Axis", "SearchConfig", "SamplePoint", "SheetTrack", "BlurCandidate",
-    "SearchReport", "compute_q", "choose_sample_points", "track_roots",
-    "enumerate_combinations", "build_system", "nullspace_min", "extract_blur",
-    "search_blur", "search_image",
-    # restoration
-    "RestoreMethod", "RestorationResult", "StageResult", "PipelineResult",
-    "spectral_restore", "least_squares_restore", "restore_with_fallback",
-    "remove_blur", "pipeline",
+# Each module's __all__ is the one list of its public names.
+__all__ = ["__version__"] + [
+    name for module in (errors, image, zpoly, search, restore) for name in module.__all__
 ]

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import NoBlurFoundError, ZeroSheetError
 from .image import (
+    _check_maxval,
     convolve,
     load_image,
     save_csv,
@@ -202,10 +203,11 @@ def _run_report(command: str, opts: dict, stages: list[dict], status: str) -> di
 
 def cmd_synth(ns: argparse.Namespace) -> int:
     opts = _resolve(ns)
+    maxval = int(opts["maxval"])
+    _check_maxval(maxval)
     out = _out_dir(ns)
     seed = int(opts["seed"])
     width, height = int(opts["width"]), int(opts["height"])
-    maxval = int(opts["maxval"])
     sizes = ns.sizes or []
 
     truth = synth_image(width, height, seed)
@@ -250,10 +252,11 @@ def cmd_search(ns: argparse.Namespace) -> int:
 
 def cmd_deblur(ns: argparse.Namespace) -> int:
     opts = _resolve(ns)
+    maxval = int(opts["maxval"])
+    _check_maxval(maxval)
     out = _out_dir(ns)
     m, n = ns.blur
     cfg = _build_config(opts, m, n)
-    maxval = int(opts["maxval"])
     img = load_image(ns.input)
 
     t0 = time.perf_counter()
@@ -280,11 +283,12 @@ def cmd_deblur(ns: argparse.Namespace) -> int:
 
 def cmd_pipeline(ns: argparse.Namespace) -> int:
     opts = _resolve(ns)
+    maxval = int(opts["maxval"])
+    _check_maxval(maxval)
     out = _out_dir(ns)
     if not ns.sizes:
         raise ValueError("pipeline needs at least one blur size")
     cfg = _build_config(opts, *ns.sizes[0])
-    maxval = int(opts["maxval"])
     img = load_image(ns.input)
 
     result = pipeline(img, ns.sizes, cfg)

@@ -1,5 +1,24 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "ZeroSheetError",
+    "PgmError",
+    "UnsupportedPgmFormat",
+    "MalformedPgmHeader",
+    "TruncatedPgmData",
+    "CsvFormatError",
+    "ZeroPolynomialError",
+    "RootFindingError",
+    "AxisError",
+    "SamplingError",
+    "TrackingError",
+    "LinearAlgebraError",
+    "DegenerateCandidateError",
+    "DivisionUnstableError",
+    "DegenerateBlurError",
+    "NoBlurFoundError",
+]
+
 
 class ZeroSheetError(Exception):
     """Base class for all errors raised by this package."""

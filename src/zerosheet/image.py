@@ -264,14 +264,19 @@ def load_pgm(path) -> Image:
     return Image(arr.reshape(height, width))
 
 
+def _check_maxval(maxval: int) -> None:
+    """Reject a PGM maxval that :func:`save_pgm` cannot write."""
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"maxval {maxval} outside [1, 65535]")
+
+
 def save_pgm(img: Image, path, maxval: int = 255) -> None:
     """Write a binary (P5) PGM file.
 
     Samples are clamped to [0, maxval] and rounded half-up.  maxval 255
     writes one byte per sample, anything larger two bytes big-endian.
     """
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} outside [1, 65535]")
+    _check_maxval(maxval)
     q = np.floor(np.clip(img.pixels, 0.0, float(maxval)) + 0.5)
     dtype = np.dtype(">u1") if maxval <= 255 else np.dtype(">u2")
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
@@ -293,18 +298,24 @@ def save_csv(img: Image, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    """The file's non-blank lines, stripped, with their 1-based line numbers."""
+    text = Path(path).read_text(encoding="ascii")
+    return [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _parse_row(lineno: int, line: str) -> list[float]:
+    try:
+        row = [float(tok) for tok in line.split(",")]
+    except ValueError:
+        raise CsvFormatError(f"line {lineno}: non-numeric entry") from None
+    if not all(map(math.isfinite, row)):
+        raise CsvFormatError(f"line {lineno}: non-finite entry")
+    return row
+
+
 def load_csv(path) -> Image:
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError:
-            raise CsvFormatError(f"line {lineno}: non-numeric entry") from None
-        if not all(map(math.isfinite, rows[-1])):
-            raise CsvFormatError(f"line {lineno}: non-finite entry")
+    rows = [_parse_row(lineno, line) for lineno, line in _numbered_lines(path)]
     if not rows:
         raise CsvFormatError("CSV image file holds no rows")
     width = len(rows[0])
@@ -331,24 +342,19 @@ def save_matrix_csv(mat, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise CsvFormatError("matrix CSV file is empty")
+    header = lines[0][1]
     try:
-        m, n = (int(tok) for tok in lines[0].split(","))
+        m, n = (int(tok) for tok in header.split(","))
     except ValueError:
-        raise CsvFormatError(f"bad matrix header {lines[0]!r}, expected 'm,n'") from None
+        raise CsvFormatError(f"bad matrix header {header!r}, expected 'm,n'") from None
     if m < 1 or n < 1 or len(lines) != m + 1:
         raise CsvFormatError(f"matrix body does not match header {m},{n}")
     rows = []
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError:
-            raise CsvFormatError(f"line {lineno}: non-numeric entry") from None
-        if not all(map(math.isfinite, row)):
-            raise CsvFormatError(f"line {lineno}: non-finite entry")
+    for lineno, line in lines[1:]:
+        row = _parse_row(lineno, line)
         if len(row) != n:
             raise CsvFormatError(f"line {lineno}: expected {n} values, got {len(row)}")
         rows.append(row)

@@ -112,6 +112,8 @@ class SearchConfig:
             raise ValueError("blur_m must be >= 1")
         if self.blur_n < 1:
             raise ValueError("blur_n must be >= 1")
+        if self.blur_m == 1 and self.blur_n == 1:
+            raise AxisError("a 1 x 1 blur has no roots in u or in v, so neither axis can find it")
         if self.axis is Axis.V and self.blur_n < 2:
             raise AxisError(
                 "an m x 1 blur has no roots in v; search the transposed "

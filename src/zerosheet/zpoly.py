@@ -37,6 +37,7 @@ __all__ = [
     "slice_roots",
     "residual_scale",
     "elementary_symmetric_coeffs",
+    "unit_point",
 ]
 
 # Relative threshold below which a trailing slice coefficient counts as zero.

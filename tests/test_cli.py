@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +177,27 @@ class TestDeblur:
         assert rep["per_stage"][0]["restored_size"] == [13, 13]
 
 
+class TestMaxval:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["deblur", "--blur", "2x2", "--maxval", "0"],
+            ["deblur", "--blur", "2x2", "--maxval", "70000"],
+            ["pipeline", "--sizes", "2x2", "--maxval", "0"],
+            ["synth", "--maxval", "0"],
+        ],
+        ids=["deblur-0", "deblur-70000", "pipeline-0", "synth-0"],
+    )
+    def test_rejected_before_any_search(self, tmp_path, capsys, args):
+        main(synth_args(tmp_path / "d"))
+        out = tmp_path / "r"
+        if args[0] != "synth":
+            args = args + ["--input", str(tmp_path / "d" / "convolved.csv")]
+        assert main(args + ["--output", str(out)]) == EXIT_ERROR
+        assert re.search(r"^error: maxval ", capsys.readouterr().err, re.MULTILINE)
+        assert not list(out.glob("*"))  # no kernel CSV, image or report
+
+
 class TestPipeline:
     def test_two_stage(self, tmp_path):
         main(synth_args(tmp_path / "d", sizes="2x2,2x3", width=14, height=14, seed=12))
@@ -321,6 +343,18 @@ class TestConfigPrecedence:
         dests = [a.dest for a in sub.choices[command]._actions
                  if a.option_strings and a.dest not in own]
         assert sorted(dests) == sorted(_SEARCH_DEFAULTS)
+
+
+class TestReadme:
+    def test_common_flags_match_search_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("Common flags:") : readme.index("Exit codes:")]
+        named = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for a in sub.choices["search"]._actions for opt in a.option_strings
+                 if opt.startswith("--")}
+        assert named == flags - {"--input", "--blur", "--help"}
 
 
 class TestErrorExit:

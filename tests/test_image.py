@@ -259,6 +259,14 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match=r"line \d: non-finite entry"):
             loader(path)
 
+    @pytest.mark.parametrize("loader", [load_csv, load_matrix_csv])
+    def test_error_line_counts_blank_lines(self, tmp_path, loader):
+        # the bad entry is on physical line 4, after a blank line 2
+        path = tmp_path / "f.csv"
+        path.write_text("2,2\n\n1,2\nx,4\n")
+        with pytest.raises(CsvFormatError, match=r"^line 4: non-numeric entry$"):
+            loader(path)
+
     def test_matrix_bad_header(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("2,3\n1,2,3\n")

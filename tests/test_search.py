@@ -86,6 +86,12 @@ class TestSearchConfig:
             SearchConfig(blur_m=1, blur_n=3, axis=Axis.U)
         SearchConfig(blur_m=1, blur_n=3)  # fine along v
 
+    @pytest.mark.parametrize("axis", [Axis.V, Axis.U])
+    def test_one_by_one_has_no_axis(self, axis):
+        # neither axis may be offered as the way out
+        with pytest.raises(AxisError, match=r"^a 1 x 1 blur has no roots in u or in v"):
+            SearchConfig(blur_m=1, blur_n=1, axis=axis)
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -442,6 +448,20 @@ class TestSearchBlur:
         truth = unit_sum(matrix_from_image(h))
         assert np.max(np.abs(rep.best.h - truth)) <= 1e-6
         assert rep.best is not None and rep.best.combination == accepted[0].combination
+
+    def test_best_is_smallest_gap_of_two_kernels(self):
+        # two 2x2 blurs in one image: each is a valid 2x2 answer
+        seeds = (105, 206)
+        g = synth_image(16, 16, 4)
+        for seed in seeds:
+            g = convolve(g, synth_blur(2, 2, seed))
+        rep = search_blur(ztransform(g), SearchConfig(blur_m=2, blur_n=2, phase_step=0.32))
+        accepted = [c for c in rep.candidates if c.accepted]
+        assert len(accepted) == 2
+        for seed in seeds:
+            truth = unit_sum(matrix_from_image(synth_blur(2, 2, seed)))
+            assert min(np.max(np.abs(c.h - truth)) for c in accepted) <= 1e-9
+        assert rep.best is min(accepted, key=lambda c: c.sigma_gap)
 
     def test_negative_control(self):
         img = synth_image(16, 16, 31)
