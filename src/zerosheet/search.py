@@ -50,6 +50,7 @@ from .image import Image, transpose
 from .zpoly import (
     BivariatePoly,
     RootSlice,
+    _powers,
     elementary_symmetric_coeffs,
     slice_in_v,
     slice_roots,
@@ -139,7 +140,6 @@ class SearchConfig:
 class SamplePoint:
     """One unit-circle sample point u_j."""
 
-    index: int
     value: complex
     phase: float
 
@@ -245,7 +245,7 @@ def choose_sample_points(q: int, cfg: SearchConfig, P: BivariatePoly) -> list[Sa
                     j, phase, sliced.effective_degree, base_degree,
                 )
                 continue
-            points.append(SamplePoint(index=j, value=u, phase=phase))
+            points.append(SamplePoint(value=u, phase=phase))
             placed = True
             break
         if not placed:
@@ -341,10 +341,7 @@ def build_system(
         roots_j = track.per_point_roots[j]
         if len(roots_j) != n - 1:
             raise ValueError(f"expected {n - 1} tracked roots, got {len(roots_j)}")
-        pows = np.empty(m, dtype=np.complex128)
-        pows[0] = 1.0
-        for x in range(1, m):
-            pows[x] = pows[x - 1] * pt.value
+        pows = _powers(pt.value, m)
         c = elementary_symmetric_coeffs(roots_j)
         for y in range(n):
             row = j * n + y

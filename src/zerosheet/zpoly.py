@@ -70,20 +70,6 @@ class BivariatePoly:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
-    @property
-    def degree_u(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def degree_v(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    def eval(self, u: complex, v: complex) -> complex:
-        """Nested Horner evaluation, outer in u, inner in v."""
-        # rows of coeffs[:, ::-1].T run from the highest power of v down
-        per_x = np.polyval(self.coeffs[:, ::-1].T, v)
-        return complex(np.polyval(per_x[::-1], u))
-
 
 def ztransform(img: Image) -> BivariatePoly:
     """z-transform of an image: coefficient (x, y) is pixel (x, y) / (W * H)."""
@@ -108,17 +94,23 @@ class UniPoly:
     def effective_degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval(self, v: complex) -> complex:
-        return complex(np.polyval(self.coeffs[::-1], v))
+
+def _powers(u: complex, m: int) -> np.ndarray:
+    """``u**0 .. u**(m - 1)`` by repeated multiplication."""
+    pows = np.empty(m, dtype=np.complex128)
+    pows[0] = 1.0
+    for x in range(1, m):
+        pows[x] = pows[x - 1] * u
+    return pows
 
 
-def slice_in_v(P: BivariatePoly, u: complex, trim_tol: float = TRIM_TOL) -> UniPoly:
+def slice_in_v(P: BivariatePoly, u: complex) -> UniPoly:
     """Fix u and collapse to the polynomial in v.
 
     Coefficient y of the result is ``sum_x coeffs[x, y] * u**x``.  Trailing
-    coefficients whose magnitude falls below ``trim_tol`` times the largest
+    coefficients whose magnitude falls below ``TRIM_TOL`` times the largest
     slice coefficient are trimmed, so the effective degree can drop below
-    the grid's degree_v.
+    the grid's degree in v.
 
     A sample point where every slice coefficient collapses relative to the
     grid's own coefficient scale is degenerate (the transform carries a
@@ -131,19 +123,15 @@ def slice_in_v(P: BivariatePoly, u: complex, trim_tol: float = TRIM_TOL) -> UniP
     if not (np.isfinite(u.real) and np.isfinite(u.imag)):
         raise ValueError("sample point u must be finite")
     m = P.coeffs.shape[0]
-    pows = np.empty(m, dtype=np.complex128)
-    pows[0] = 1.0
-    for x in range(1, m):
-        pows[x] = pows[x - 1] * u
-    a = pows @ P.coeffs
+    a = _powers(u, m) @ P.coeffs
     grid_scale = float(np.max(np.abs(P.coeffs))) * max(1.0, abs(u)) ** (m - 1)
     scale = float(np.max(np.abs(a)))
-    if scale <= trim_tol * grid_scale:
+    if scale <= TRIM_TOL * grid_scale:
         raise ZeroPolynomialError(
             f"slice at u = {u:.6g} is degenerate (all coefficients vanish)"
         )
     d = len(a) - 1
-    while d >= 0 and abs(a[d]) <= trim_tol * scale:
+    while d >= 0 and abs(a[d]) <= TRIM_TOL * scale:
         d -= 1
     return UniPoly(a[: d + 1])
 
@@ -155,9 +143,7 @@ def residual_scale(coeffs: np.ndarray, z):
     return np.polyval(np.abs(coeffs)[::-1], np.abs(z))
 
 
-def find_roots(
-    p: UniPoly, tol_root: float = ROOT_TOL, *, guesses=None
-) -> tuple[np.ndarray, np.ndarray]:
+def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     """All roots of p, Newton-polished, in deterministic order.
 
     Initial estimates come from the companion-matrix eigenvalues, or, when
@@ -165,7 +151,7 @@ def find_roots(
     iterations started there (see :func:`_aberth`); a warm start that fails
     any of its guards falls back to the eigenvalues.  Either way all
     estimates are then polished together by Newton iteration on the
-    original coefficients until ``|p(root)| <= tol_root * sum_y |a_y|
+    original coefficients until ``|p(root)| <= ROOT_TOL * sum_y |a_y|
     |root|^y``.  The bound scales with the evaluation magnitude at the root,
     so roots outside the unit circle get the same relative accuracy as
     roots inside.  Returns (roots, residuals) sorted by real part, then
@@ -175,16 +161,16 @@ def find_roots(
     d = p.effective_degree
     if d < 1:
         raise ValueError("find_roots requires effective degree >= 1")
-    start = None if guesses is None else _aberth(p.coeffs, guesses, tol_root)
+    start = None if guesses is None else _aberth(p.coeffs, guesses, ROOT_TOL)
     if start is None:
         start = np.roots(p.coeffs[::-1])
-    roots, residuals, scales = _polish(p.coeffs, start, tol_root)
-    missed = residuals > tol_root * scales
+    roots, residuals, scales = _polish(p.coeffs, start, ROOT_TOL)
+    missed = residuals > ROOT_TOL * scales
     if missed.any():
         worst_rel = float(np.max(residuals[missed] / scales[missed]))
         raise RootFindingError(
             f"root polishing stalled at relative residual {worst_rel:.3e} "
-            f"(bound {tol_root:.3e}, degree {d})"
+            f"(bound {ROOT_TOL:.3e}, degree {d})"
         )
     order = np.lexsort((roots.imag, roots.real))
     return roots[order], residuals[order]
@@ -305,7 +291,6 @@ def _polish(coeffs: np.ndarray, guesses: np.ndarray, tol_root: float):
 class RootSlice:
     """Root data of one slice: the roots in v at a fixed sample point u."""
 
-    sample_point: complex
     leading_coeff: complex
     roots: np.ndarray
     residuals: np.ndarray
@@ -316,27 +301,19 @@ class RootSlice:
         return len(self.roots)
 
 
-def slice_roots(
-    P: BivariatePoly,
-    u: complex,
-    trim_tol: float = TRIM_TOL,
-    tol_root: float = ROOT_TOL,
-    *,
-    guesses=None,
-) -> RootSlice:
+def slice_roots(P: BivariatePoly, u: complex, *, guesses=None) -> RootSlice:
     """Slice at u and solve: the full root set with residual diagnostics.
 
     A slice of degree 0 has no roots and gives an empty root set.
     ``guesses``, the roots of a nearby slice, warm-start the solve (see
     :func:`find_roots`).
     """
-    poly = slice_in_v(P, u, trim_tol)
+    poly = slice_in_v(P, u)
     if poly.effective_degree == 0:
         roots, residuals = np.empty(0, dtype=np.complex128), np.empty(0)
     else:
-        roots, residuals = find_roots(poly, tol_root, guesses=guesses)
+        roots, residuals = find_roots(poly, guesses=guesses)
     return RootSlice(
-        sample_point=complex(u),
         leading_coeff=complex(poly.coeffs[-1]),
         roots=roots,
         residuals=residuals,

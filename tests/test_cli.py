@@ -10,7 +10,17 @@ import pytest
 
 from helpers import child_env
 import zerosheet.zpoly
-from zerosheet import SearchConfig, __version__, load_csv, load_matrix_csv, search_image
+from zerosheet import (
+    ROOT_TOL,
+    SearchConfig,
+    __version__,
+    load_csv,
+    load_matrix_csv,
+    residual_scale,
+    search_image,
+    slice_in_v,
+    ztransform,
+)
 from zerosheet.cli import (
     _SEARCH_DEFAULTS,
     EXIT_ERROR,
@@ -246,6 +256,13 @@ class TestRoots:
         assert point["n_prime"] == 44
         assert len(point["roots"]) == 44
         assert all(r["residual"] >= 0 for r in point["roots"])
+        # every reported residual meets the bound the solver promises
+        P = ztransform(load_csv(tmp_path / "d" / "convolved.csv"))
+        for point in rep["points"]:
+            coeffs = slice_in_v(P, complex(point["u"]["re"], point["u"]["im"])).coeffs
+            for r in point["roots"]:
+                bound = ROOT_TOL * residual_scale(coeffs, complex(r["re"], r["im"]))
+                assert r["residual"] <= bound
 
     def test_degenerate_point_flagged(self, tmp_path):
         from zerosheet import Image, convolve, save_csv, synth_image

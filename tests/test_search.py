@@ -40,10 +40,9 @@ from zerosheet.search import SamplePoint, _track_chain
 from zerosheet.zpoly import RootSlice
 
 
-def make_slice(u, roots):
+def make_slice(roots):
     roots = np.asarray(roots, dtype=complex)
     return RootSlice(
-        sample_point=complex(u),
         leading_coeff=1.0 + 0j,
         roots=roots,
         residuals=np.zeros(len(roots)),
@@ -115,7 +114,6 @@ class TestChooseSamplePoints:
         pts = choose_sample_points(3, cfg, ztransform(img))
         assert [round(p.phase, 10) for p in pts] == [0.3, 0.31, 0.32]
         assert all(abs(abs(p.value) - 1.0) <= 1e-15 for p in pts)
-        assert [p.index for p in pts] == [1, 2, 3]
 
     def test_degenerate_base_replaced(self):
         # a (1 + u) factor kills the slice at phase pi; the point moves on
@@ -135,26 +133,26 @@ class TestChooseSamplePoints:
 
 class TestTrackRoots:
     def test_nearest_neighbour(self):
-        prev = make_slice(1.0, [1.0, -1.0])
-        nxt = make_slice(1.01, [1.01, -0.99])
+        prev = make_slice([1.0, -1.0])
+        nxt = make_slice([1.01, -0.99])
         assert track_roots(prev, nxt, (0,)) == (0,)
         assert track_roots(prev, nxt, (1, 0)) == (1, 0)
 
     def test_ambiguity_error(self):
-        prev = make_slice(1.0, [1.0, 1.001])
-        nxt = make_slice(1.01, [1.0005, 1.0006])
+        prev = make_slice([1.0, 1.001])
+        nxt = make_slice([1.0005, 1.0006])
         with pytest.raises(TrackingError):
             track_roots(prev, nxt, (0,), tol_track_ratio=0.5)
 
     def test_collision_error(self):
-        prev = make_slice(1.0, [0.0, 0.2, 5.0])
-        nxt = make_slice(1.01, [0.1, 4.0, 9.0])
+        prev = make_slice([0.0, 0.2, 5.0])
+        nxt = make_slice([0.1, 4.0, 9.0])
         with pytest.raises(TrackingError):
             track_roots(prev, nxt, (0, 1))
 
     def test_count_mismatch(self):
         with pytest.raises(TrackingError):
-            track_roots(make_slice(1, [1.0]), make_slice(1, [1.0, 2.0]), (0,))
+            track_roots(make_slice([1.0]), make_slice([1.0, 2.0]), (0,))
 
     def test_true_blur_roots_stay_on_sheet(self):
         # tracked image roots follow the blur's own slice roots across points
@@ -238,10 +236,10 @@ def root_chains(draw):
 
     def roots(prev):
         if prev is None or draw(st.booleans()):
-            return make_slice(0, draw(st.lists(root, min_size=n, max_size=n)))
+            return make_slice(draw(st.lists(root, min_size=n, max_size=n)))
         perm = draw(st.permutations(range(n)))
         offsets = draw(st.lists(offset, min_size=n, max_size=n))
-        return make_slice(0, [prev.roots[p] + o for p, o in zip(perm, offsets)])
+        return make_slice([prev.roots[p] + o for p, o in zip(perm, offsets)])
 
     chain = [roots(None)]
     anchors = [0]
@@ -318,7 +316,7 @@ def ground_truth_track(g, h, q, base=0.3, step=0.01):
         idx = tuple(int(np.argmin(np.abs(gr - r))) for r in hr)
         if combo is None:
             combo = tuple(sorted(idx))
-        points.append(SamplePoint(index=j + 1, value=u, phase=base + j * step))
+        points.append(SamplePoint(value=u, phase=base + j * step))
         per_point.append(gr[list(idx)])
     track = SheetTrack(
         combination=combo,
@@ -359,7 +357,7 @@ class TestBuildSystem:
 
     def test_row_encoding(self):
         # row (j, y) carries u^x powers in the y-block and -c_y in column mn+j
-        pts = [SamplePoint(index=1, value=2.0 + 0j, phase=0.0)]
+        pts = [SamplePoint(value=2.0 + 0j, phase=0.0)]
         tr = SheetTrack(combination=(0,), per_point_roots=(np.array([3.0 + 0j]),))
         A = build_system(tr, pts, 2, 2)
         c = elementary_symmetric_coeffs([3.0 + 0j])
