@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
 Commands: ``synth`` (make test data), ``search`` (find a blur, no
-restoration), ``deblur`` (find and remove one blur), ``pipeline`` (remove a
-sequence of blurs), ``roots`` (dump slice roots for inspection).  Every
-command that searches writes a versioned JSON report whose numbers are in
-shortest round-trip form (loss-free), and reports are byte-identical across
-reruns (except the wall_time_ms fields).
+restoration), ``deblur`` (find and remove one blur: a one-stage pipeline),
+``pipeline`` (remove a sequence of blurs), ``roots`` (dump slice roots for
+inspection).  Every command that searches writes a versioned JSON report
+whose numbers are in shortest round-trip form (loss-free), and reports are
+byte-identical across reruns (except the wall_time_ms fields).
 
 Option precedence: command-line flags override the ``--config`` key=value
 file, which overrides built-in defaults.  The env var ``ZEROSHEET_LOG``
@@ -24,10 +24,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .errors import NoBlurFoundError, ZeroSheetError
+from .errors import ZeroSheetError
 from .image import (
     _check_maxval,
     convolve,
@@ -38,7 +36,7 @@ from .image import (
     synth_blur,
     synth_image,
 )
-from .restore import pipeline, remove_blur
+from .restore import pipeline
 from .search import Axis, SearchConfig, search_image
 from .zpoly import ZeroPolynomialError, slice_roots, unit_point, ztransform
 
@@ -154,10 +152,6 @@ def _report_path(ns, out: Path) -> Path:
     return Path(ns.report) if getattr(ns, "report", None) else out / "report.json"
 
 
-def _blur_rows(h: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in h]
-
-
 def _stage_dict(report, restoration, wall_ms: float) -> dict:
     best = report.best
     d: dict[str, object] = {
@@ -174,7 +168,7 @@ def _stage_dict(report, restoration, wall_ms: float) -> dict:
         "sigma_min": best.sigma_min if best else None,
         "sigma_gap": best.sigma_gap if best else None,
         "realness": best.realness if best else None,
-        "blur_matrix": _blur_rows(best.h) if best else None,
+        "blur_matrix": best.h.tolist() if best else None,
     }
     if restoration is not None:
         d["restore_method"] = restoration.method.value
@@ -246,72 +240,63 @@ def cmd_search(ns: argparse.Namespace) -> int:
         print(f"accepted combination {list(report.best.combination)} "
               f"sigma_gap {report.best.sigma_gap:.3e}")
         return EXIT_OK
+    (out / "blur.csv").unlink(missing_ok=True)
     print("no blur of the requested size was accepted")
     return EXIT_NO_BLUR
 
 
-def cmd_deblur(ns: argparse.Namespace) -> int:
+def _cmd_stages(ns: argparse.Namespace) -> int:
+    """Run ``deblur`` (one stage, unnumbered files) or ``pipeline``.
+
+    A run that misses removes the files that a successful run would have
+    written for the stages it did not complete, so that nothing in the
+    output directory contradicts the report.
+    """
     opts = _resolve(ns)
     maxval = int(opts["maxval"])
     _check_maxval(maxval)
     out = _out_dir(ns)
-    m, n = ns.blur
-    cfg = _build_config(opts, m, n)
-    img = load_image(ns.input)
-
-    t0 = time.perf_counter()
-    try:
-        candidate, restoration, report = remove_blur(img, cfg)
-    except NoBlurFoundError as exc:
-        wall = (time.perf_counter() - t0) * 1e3
-        stages = [_stage_dict(exc.report, None, wall)] if exc.report else []
-        doc = _run_report("deblur", opts, stages, "NO_BLUR_FOUND")
-        write_json(doc, _report_path(ns, out))
-        print("no blur of the requested size was accepted")
-        return EXIT_NO_BLUR
-    wall = (time.perf_counter() - t0) * 1e3
-
-    save_matrix_csv(candidate.h, out / "blur.csv")
-    save_pgm(restoration.image, out / "restored.pgm", maxval)
-    save_csv(restoration.image, out / "restored.csv")
-    doc = _run_report("deblur", opts, [_stage_dict(report, restoration, wall)], "OK")
-    write_json(doc, _report_path(ns, out))
-    print(f"restored {restoration.image.width}x{restoration.image.height} "
-          f"(forward residual {restoration.forward_residual:.3e})")
-    return EXIT_OK
-
-
-def cmd_pipeline(ns: argparse.Namespace) -> int:
-    opts = _resolve(ns)
-    maxval = int(opts["maxval"])
-    _check_maxval(maxval)
-    out = _out_dir(ns)
-    if not ns.sizes:
+    single = ns.command == "deblur"
+    sizes = [ns.blur] if single else ns.sizes
+    if not sizes:
         raise ValueError("pipeline needs at least one blur size")
-    cfg = _build_config(opts, *ns.sizes[0])
+    cfg = _build_config(opts, *sizes[0])
     img = load_image(ns.input)
 
-    result = pipeline(img, ns.sizes, cfg)
+    result = pipeline(img, sizes, cfg)
+
+    def stage_files(i: int) -> tuple[Path, Path, Path]:
+        tag = "" if single else f"_{i}"
+        return out / f"blur{tag}.csv", out / f"restored{tag}.pgm", out / f"restored{tag}.csv"
 
     stages = []
     for i, stage in enumerate(result.stages, start=1):
+        image = stage.restoration.image
         stages.append(_stage_dict(stage.report, stage.restoration, stage.wall_time_ms))
-        save_matrix_csv(stage.candidate.h, out / f"blur_{i}.csv")
-        save_pgm(stage.restoration.image, out / f"restored_{i}.pgm", maxval)
-        save_csv(stage.restoration.image, out / f"restored_{i}.csv")
-        print(f"stage {i}: removed {stage.report.blur_m}x{stage.report.blur_n}, "
-              f"now {stage.restoration.image.width}x{stage.restoration.image.height}")
+        blur_path, pgm_path, csv_path = stage_files(i)
+        save_matrix_csv(stage.candidate.h, blur_path)
+        save_pgm(image, pgm_path, maxval)
+        save_csv(image, csv_path)
+        if single:
+            print(f"restored {image.width}x{image.height} "
+                  f"(forward residual {stage.restoration.forward_residual:.3e})")
+        else:
+            print(f"stage {i}: removed {stage.report.blur_m}x{stage.report.blur_n}, "
+                  f"now {image.width}x{image.height}")
     if result.ok:
         status, code = "OK", EXIT_OK
     else:
-        if result.failure_report is not None:
-            stages.append(_stage_dict(result.failure_report, None, result.failure_wall_ms))
+        stages.append(_stage_dict(result.failure_report, None, result.failure_wall_ms))
         if result.failed_stage == 1:
             status, code = "NO_BLUR_FOUND", EXIT_NO_BLUR
         else:
             status, code = "PARTIAL", EXIT_PARTIAL
-        print(f"stage {result.failed_stage}: no blur found, stopping")
-    doc = _run_report("pipeline", opts, stages, status)
+        for i in range(result.failed_stage, len(sizes) + 1):
+            for path in stage_files(i):
+                path.unlink(missing_ok=True)
+        print("no blur of the requested size was accepted" if single
+              else f"stage {result.failed_stage}: no blur found, stopping")
+    doc = _run_report(ns.command, opts, stages, status)
     write_json(doc, _report_path(ns, out))
     return code
 
@@ -416,14 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blur", type=_parse_size, required=True, metavar="MxN")
     p.add_argument("--maxval", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_deblur)
+    p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("pipeline", help="remove a sequence of blurs")
     p.add_argument("--input", required=True)
     p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="LIST")
     p.add_argument("--maxval", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("roots", help="dump slice roots at one or more sample points")
     p.add_argument("--input", required=True)

@@ -7,6 +7,10 @@ division is exact for noise-free data.  A blur whose transform nearly
 vanishes somewhere on the DFT grid makes that division unstable, so an
 independent least-squares route (CGLS on the convolution and its adjoint)
 backs it up.
+
+:func:`pipeline` is the one stage driver: each stage searches for one blur
+and restores it away, and a stage whose search accepts nothing ends the run
+with its report as the result.  :func:`remove_blur` is a one-stage pipeline.
 """
 
 from __future__ import annotations
@@ -161,33 +165,32 @@ def remove_blur(
 ) -> tuple[BlurCandidate, RestorationResult, SearchReport]:
     """Search for one blur of the configured size and undo it.
 
-    Handles axis=U by searching the transposed image (the returned
-    candidate is already back in the caller's orientation).  Raises
-    :class:`NoBlurFoundError`, carrying the search report, when no
-    candidate is accepted.
+    A one-stage :func:`pipeline`.  Handles axis=U by searching the
+    transposed image (the returned candidate is already back in the
+    caller's orientation).  Raises :class:`NoBlurFoundError`, carrying the
+    search report, when no candidate is accepted.
     """
-    report = search_image(g, cfg)
-    if report.best is None:
+    result = pipeline(g, [(cfg.blur_m, cfg.blur_n)], cfg)
+    if not result.ok:
+        report = result.failure_report
         raise NoBlurFoundError(
             f"no {cfg.blur_m}x{cfg.blur_n} blur accepted "
             f"({report.combinations_evaluated} combinations evaluated)",
             report=report,
         )
-    h_img = image_from_matrix(report.best.h)
-    result = restore_with_fallback(g, h_img)
-    log.info(
-        "removed %dx%d blur, forward residual %.3e (%s)",
-        cfg.blur_m, cfg.blur_n, result.forward_residual, result.method.value,
-    )
-    return report.best, result, report
+    stage = result.stages[0]
+    return stage.candidate, stage.restoration, stage.report
 
 
 @dataclass(frozen=True, eq=False)
 class StageResult:
-    candidate: BlurCandidate
     restoration: RestorationResult
     report: SearchReport
     wall_time_ms: float = 0.0
+
+    @property
+    def candidate(self) -> BlurCandidate:
+        return self.report.best
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +219,9 @@ class PipelineResult:
 def pipeline(g: Image, sizes, cfg: SearchConfig) -> PipelineResult:
     """Remove several blurs in the given (m, n) order, feeding each result on.
 
-    Stops at the first stage that finds no blur and returns the stages
-    completed so far together with the failing stage's index.  Every
+    Each stage searches for one blur and restores it away.  Stops at the
+    first stage that finds no blur and returns the stages completed so far
+    together with the failing stage's index and search report.  Every
     stage's configuration is checked before the first search runs.
     """
     stage_cfgs = [replace(cfg, blur_m=int(m), blur_n=int(n)) for m, n in sizes]
@@ -227,22 +231,25 @@ def pipeline(g: Image, sizes, cfg: SearchConfig) -> PipelineResult:
     stages: list[StageResult] = []
     for idx, stage_cfg in enumerate(stage_cfgs, start=1):
         t0 = time.perf_counter()
-        try:
-            candidate, restoration, report = remove_blur(current, stage_cfg)
-        except NoBlurFoundError as exc:
+        report = search_image(current, stage_cfg)
+        if report.best is None:
             wall = (time.perf_counter() - t0) * 1e3
             log.info("pipeline stage %d (%dx%d) found no blur", idx,
                      stage_cfg.blur_m, stage_cfg.blur_n)
             return PipelineResult(
                 stages=stages,
                 failed_stage=idx,
-                failure_report=exc.report,
+                failure_report=report,
                 failure_wall_ms=wall,
             )
+        restoration = restore_with_fallback(current, image_from_matrix(report.best.h))
         wall = (time.perf_counter() - t0) * 1e3
+        log.info(
+            "removed %dx%d blur, forward residual %.3e (%s)", stage_cfg.blur_m,
+            stage_cfg.blur_n, restoration.forward_residual, restoration.method.value,
+        )
         stages.append(
             StageResult(
-                candidate=candidate,
                 restoration=restoration,
                 report=report,
                 wall_time_ms=wall,

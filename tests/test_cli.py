@@ -242,6 +242,64 @@ class TestPipeline:
                    "--sizes", "2x2", "--output", str(tmp_path / "r")])
         assert rc == EXIT_NO_BLUR
 
+    @pytest.mark.parametrize("found", [True, False], ids=["found", "not-found"])
+    def test_one_size_equals_deblur(self, tmp_path, found):
+        # deblur is a one-stage pipeline whose files carry no stage number
+        main(synth_args(tmp_path / "d", width=14, height=14, seed=23))
+        inp = str(tmp_path / "d" / ("convolved.csv" if found else "true.csv"))
+        a, b = tmp_path / "deblur", tmp_path / "pipeline"
+        rc_a = main(["deblur", "--input", inp, "--blur", "2x2", "--output", str(a)])
+        rc_b = main(["pipeline", "--input", inp, "--sizes", "2x2", "--output", str(b)])
+        assert rc_a == rc_b == (EXIT_OK if found else EXIT_NO_BLUR)
+
+        def text(path):
+            return [ln for ln in canonical_report_text(path).splitlines()
+                    if '"command":' not in ln]
+
+        assert text(a / "report.json") == text(b / "report.json")
+        for name, numbered in [("blur.csv", "blur_1.csv"), ("restored.csv", "restored_1.csv"),
+                               ("restored.pgm", "restored_1.pgm")]:
+            assert (a / name).exists() == (b / numbered).exists() == found
+            if found:
+                assert (a / name).read_bytes() == (b / numbered).read_bytes()
+
+
+class TestReusedOutputDir:
+    def test_miss_removes_files_of_stages_not_completed(self, tmp_path):
+        # a run that misses removes exactly the files that a successful run
+        # of the same command would have written for its missing stages
+        main(synth_args(tmp_path / "one", sizes="2x2", width=12, height=12, seed=3))
+        main(synth_args(tmp_path / "two", sizes="2x2,2x3", width=14, height=14, seed=12))
+        one, two = tmp_path / "one" / "convolved.csv", tmp_path / "two" / "convolved.csv"
+        free = tmp_path / "one" / "true.csv"
+        out = tmp_path / "r"
+
+        def run(*args):
+            return main([*args, "--phase-step", "0.3", "--output", str(out)])
+
+        def files():
+            return sorted(p.name for p in out.iterdir())
+
+        assert run("deblur", "--input", str(one), "--blur", "2x2") == EXIT_OK
+        assert run("pipeline", "--input", str(two), "--sizes", "2x2,2x3") == EXIT_OK
+        (out / "notes.txt").write_text("not ours\n")
+        stage_files = ["blur_1.csv", "blur_2.csv", "restored_1.csv", "restored_1.pgm",
+                       "restored_2.csv", "restored_2.pgm"]
+        assert files() == sorted(["blur.csv", "restored.csv", "restored.pgm", "notes.txt",
+                                  "report.json", *stage_files])
+
+        assert run("search", "--input", str(free), "--blur", "2x2") == EXIT_NO_BLUR
+        assert files() == sorted(["restored.csv", "restored.pgm", "notes.txt", "report.json",
+                                  *stage_files])
+
+        assert run("deblur", "--input", str(free), "--blur", "2x2") == EXIT_NO_BLUR
+        assert files() == sorted(["notes.txt", "report.json", *stage_files])
+
+        assert run("pipeline", "--input", str(one), "--sizes", "2x2,3x4") == EXIT_PARTIAL
+        assert read_report(out / "report.json")["status"] == "PARTIAL"
+        assert files() == sorted(["notes.txt", "report.json", "blur_1.csv", "restored_1.csv",
+                                  "restored_1.pgm"])
+
 
 class TestRoots:
     def test_dump_valid_json(self, tmp_path):

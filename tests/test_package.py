@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import zerosheet
 
@@ -14,3 +16,11 @@ def test_package_exports_each_module_name_once():
         module = importlib.import_module(f"zerosheet.{m}")
         for name in module.__all__:
             assert getattr(zerosheet, name) is getattr(module, name), f"{m}.{name}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library") :]
+    code = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

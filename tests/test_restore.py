@@ -230,6 +230,7 @@ class TestPipeline:
         cand, res, rep = remove_blur(g, cfg)
         assert result.ok and len(result.stages) == 1
         assert np.array_equal(result.stages[0].candidate.h, cand.h)
+        assert result.stages[0].candidate is result.stages[0].report.best
         assert np.array_equal(result.stages[0].restoration.image.pixels, res.image.pixels)
 
     def test_partial_on_impossible_size(self):
