@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -48,6 +49,8 @@ EXIT_PARTIAL = 4
 log = logging.getLogger("zerosheet.cli")
 # Name of the stderr handler that ZEROSHEET_LOG puts on the zerosheet logger.
 _LOG_HANDLER = "zerosheet.stderr"
+# The numbered files a pipeline writes for stage i (group 1 or 2).
+_STAGE_FILE = re.compile(r"blur_([1-9][0-9]*)\.csv|restored_([1-9][0-9]*)\.(?:csv|pgm)")
 
 # The search knobs and their defaults come from SearchConfig (axis as its
 # letter); the other keys belong to the CLI.  A key's default also fixes the
@@ -249,8 +252,9 @@ def _cmd_stages(ns: argparse.Namespace) -> int:
     """Run ``deblur`` (one stage, unnumbered files) or ``pipeline``.
 
     A run that misses removes the files that a successful run would have
-    written for the stages it did not complete, so that nothing in the
-    output directory contradicts the report.
+    written for the stages it did not complete, and a ``pipeline`` also
+    removes the numbered files of every stage past its last, so that
+    nothing in the output directory contradicts the report.
     """
     opts = _resolve(ns)
     maxval = int(opts["maxval"])
@@ -291,11 +295,16 @@ def _cmd_stages(ns: argparse.Namespace) -> int:
             status, code = "NO_BLUR_FOUND", EXIT_NO_BLUR
         else:
             status, code = "PARTIAL", EXIT_PARTIAL
-        for i in range(result.failed_stage, len(sizes) + 1):
-            for path in stage_files(i):
-                path.unlink(missing_ok=True)
         print("no blur of the requested size was accepted" if single
               else f"stage {result.failed_stage}: no blur found, stopping")
+    done = len(result.stages)
+    if single:
+        stale = () if result.ok else stage_files(1)
+    else:
+        stale = [path for path in out.iterdir()
+                 if (m := _STAGE_FILE.fullmatch(path.name)) and int(m[1] or m[2]) > done]
+    for path in stale:
+        path.unlink(missing_ok=True)
     doc = _run_report(ns.command, opts, stages, status)
     write_json(doc, _report_path(ns, out))
     return code

@@ -300,6 +300,22 @@ class TestReusedOutputDir:
         assert files() == sorted(["notes.txt", "report.json", "blur_1.csv", "restored_1.csv",
                                   "restored_1.pgm"])
 
+    def test_shorter_pipeline_removes_later_stages(self, tmp_path):
+        # a successful pipeline leaves no stage file past its last stage
+        main(synth_args(tmp_path / "d", sizes="2x2,2x3", width=14, height=14, seed=12))
+        inp, out = tmp_path / "d" / "convolved.csv", tmp_path / "r"
+
+        def run(sizes):
+            return main(["pipeline", "--input", str(inp), "--sizes", sizes,
+                         "--phase-step", "0.3", "--output", str(out)])
+
+        assert run("2x2,2x3") == EXIT_OK
+        (out / "blur_2.txt").write_text("not ours\n")
+        assert run("2x2") == EXIT_OK
+        assert read_report(out / "report.json")["status"] == "OK"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["blur_1.csv", "restored_1.csv", "restored_1.pgm", "report.json", "blur_2.txt"])
+
 
 class TestRoots:
     def test_dump_valid_json(self, tmp_path):

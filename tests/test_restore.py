@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,87 @@ class TestLeastSquaresOracle:
             tracemalloc.stop()
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
         assert np.max(np.abs(res.image.pixels - f.pixels)) <= 1e-9 * np.max(f.pixels)
+
+
+def count_convolve(monkeypatch) -> list:
+    """Record each call that restore makes to ``convolve``."""
+    calls = []
+    real = zerosheet.restore.convolve
+
+    def counting(f, h):
+        calls.append(f.pixels.shape)
+        return real(f, h)
+
+    monkeypatch.setattr(zerosheet.restore, "convolve", counting)
+    return calls
+
+
+class TestWarmStart:
+    # Division on a padded grid is exact on noise-free data, so CGLS has
+    # next to nothing left to do.
+    @pytest.mark.parametrize("f,h", [
+        pytest.param(synth_image(63, 63, 8), GRID_NULL, id="63x63-grid-null"),
+        pytest.param(synth_image(127, 127, 3), Image(np.array([[187, 232], [193, 238]]) / 256),
+                     id="127x127-grid-null"),
+    ])
+    def test_grid_null_kernel_takes_few_convolutions(self, monkeypatch, f, h):
+        g = convolve(f, h)
+        calls = count_convolve(monkeypatch)
+        res = least_squares_restore(g, h)
+        assert len(calls) <= 8
+        assert np.max(np.abs(res.image.pixels - f.pixels)) <= 1e-9 * np.max(f.pixels)
+        assert res.min_H_on_grid < 1e-9
+        assert res.method is RestoreMethod.LEAST_SQUARES
+
+    def test_no_stable_grid_starts_from_zeros_without_warning(self):
+        # the transform of [[1, -1]] vanishes at DC, a point of every grid
+        f = synth_image(9, 8, 3)
+        h = Image([[1.0, -1.0]])
+        g = convolve(f, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = least_squares_restore(g, h).image.pixels
+        oracle = dense_least_squares(g, h)
+        assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    def test_image_outside_the_range_restores_to_zeros(self):
+        # alternating columns: convolve(f, [[1, 1]]) has no component along
+        # them, so the least-squares answer is zero, while division on an odd
+        # grid width, where [[1, 1]] has no zero, returns rounding noise
+        h = Image([[1.0, 1.0]])
+        g = Image(np.tile([1.0, -1.0, 1.0, -1.0, 1.0], (3, 1)))
+        res = least_squares_restore(g, h)
+        assert np.array_equal(res.image.pixels, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("weight", [
+        pytest.param(0.0, id="left-null"),
+        # the start then fits g better than zeros, but with a larger gradient
+        pytest.param(3.0, id="left-null-plus-small-in-range"),
+    ])
+    def test_start_worse_than_zeros_is_dropped(self, monkeypatch, weight):
+        # g is mostly the observed image least fitted by any sharp one: the
+        # division's start is far off, and CGLS from it cannot meet a stop
+        # test scaled by the small ||A^T g|| before the iteration cap.  With
+        # the start dropped, CGLS runs as from zeros, plus the (at most two)
+        # convolutions that tried the start.
+        h = synth_blur(2, 3, 17)
+        hh, hw = h.pixels.shape
+        gh, gw = 12, 11
+        fh, fw = gh - hh + 1, gw - hw + 1
+        T = np.zeros((gh * gw, fh * fw))
+        for k in range(fh * fw):
+            T[:, k] = convolve(Image(np.eye(1, fh * fw, k).reshape(fh, fw)), h).samples
+        U, _, Vt = np.linalg.svd(T)
+        g = Image(100.0 * (U[:, -1] + weight * T @ Vt[-1]).reshape(gh, gw))
+        calls = count_convolve(monkeypatch)
+        got = least_squares_restore(g, h).image.pixels
+        warm_calls = len(calls)
+        monkeypatch.setattr(zerosheet.restore, "_warm_start", lambda g, h, fh, fw: (None, 0.0))
+        calls.clear()
+        least_squares_restore(g, h)
+        assert warm_calls <= len(calls) + 2
+        want = 100.0 * weight * Vt[-1].reshape(fh, fw)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(g.pixels))
 
 
 class TestFallback:
