@@ -8,6 +8,12 @@ the smallest wrong sigma_gap among evaluated candidates, and the number of
 combinations that failed tracking.  The ratio of the two columns is the
 detector's working margin.
 
+The search stops refining after the first halving level that accepts a
+candidate, so at a step where the blur is found, "trackfail" also counts
+combinations that would only have tracked at a deeper level, and the wrong
+candidates are only those that tracked at the accepting level or a coarser
+one.  At a step where nothing is accepted, every level is walked.
+
 Usage:
     python scripts/selectivity_study.py [--seed 3] [--size 16x16]
                                         [--blur 2x2] [--steps 0.01,0.05,...]

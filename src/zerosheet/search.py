@@ -19,12 +19,16 @@ combination: every base root is followed across the sample points by
 nearest-neighbour matching, and a combination tracks when each of its roots
 matches unambiguously at every step and no two of them end on the same
 root.  A combination that does not track is tried again on finer chains,
-each halving the phase step of the one before.  All refinement levels are
-solved up front, coarsest first, as one chain at the finest step; each
-coarser chain is a strided view of it.  Eigenvalue root finding runs only
-at the sample points: each midpoint starts from the roots of its coarser
-neighbour one sub-step away, so the rank test's inputs are the same as with
-a cold solve everywhere.
+each halving the phase step of the one before.  The levels are solved on
+demand, one at a time: level L's midpoints are solved only when the search
+reaches it, all roots are tracked once there, and the combinations that
+track there for the first time are rank-tested.  The search stops after the
+first level at which a candidate is accepted, so a kernel found at the
+sample points costs no midpoint at all.  Every level is a strided view of
+one chain at the finest step.  Eigenvalue root finding runs only at the
+sample points: each midpoint starts from the roots of its coarser neighbour
+one sub-step away, so the rank test's inputs are the same as with a cold
+solve everywhere.
 """
 
 from __future__ import annotations
@@ -179,7 +183,12 @@ class BlurCandidate:
 
 @dataclass(frozen=True, eq=False)
 class SearchReport:
-    """Everything one search run produced, in deterministic order."""
+    """Everything one search run produced, in deterministic order.
+
+    ``tracking_failures`` counts the evaluated combinations that tracked at
+    no halving level the search walked; the walk ends at the first level
+    that accepts a candidate.
+    """
 
     blur_m: int
     blur_n: int
@@ -455,50 +464,54 @@ def _track_chain(
     return np.array(at_anchors), ok
 
 
-def _solve_chain(
+def _solve_level(
     P: BivariatePoly,
     cfg: SearchConfig,
+    chain: list[RootSlice | None],
     anchors: list[int],
-    slices: list[RootSlice],
-) -> list[RootSlice | None]:
-    """The finest tracking chain, 2**_MAX_HALVINGS entries per phase step.
+    level: int,
+) -> None:
+    """Solve the midpoints of halving level ``level`` into the finest chain.
 
-    Entry s lies at phase ``base_phase + s * (phase_step / 2**_MAX_HALVINGS)``,
-    so ``chain[::2**(_MAX_HALVINGS - L)]`` is the chain of halving level L.
-    Levels are solved coarsest first, each midpoint warm-started from the
+    The chain holds 2**_MAX_HALVINGS entries per phase step, entry s at
+    phase ``base_phase + s * (phase_step / 2**_MAX_HALVINGS)``, so
+    ``chain[::2**(_MAX_HALVINGS - L)]`` is the chain of halving level L;
+    sample point j sits at entry ``2**_MAX_HALVINGS * anchors[j]``.  Called
+    for levels 1, 2, ... in turn, so each midpoint is warm-started from the
     roots of the coarser slice one sub-step before it (or after it, when
-    that slot is empty).  Degenerate midpoints, midpoints that change the
-    root count and the slots of replaced sample points stay empty.
+    that slot is empty).  Degenerate midpoints and midpoints that change
+    the root count stay empty.
     """
-    n_prime = slices[0].count
     scale = 2**_MAX_HALVINGS
-    chain: list[RootSlice | None] = [None] * (scale * anchors[-1] + 1)
-    for a, rs in zip(anchors, slices):
-        chain[scale * a] = rs
-    for level in range(1, _MAX_HALVINGS + 1):
-        sub = scale >> level
-        for s in range(scale * anchors[0] + sub, scale * anchors[-1], 2 * sub):
-            u = unit_point(cfg.base_phase + s * (cfg.phase_step / scale))
-            neighbour = chain[s - sub] if chain[s - sub] is not None else chain[s + sub]
-            guesses = None if neighbour is None else neighbour.roots
-            try:
-                rs = slice_roots(P, u, guesses=guesses)
-            except (ZeroPolynomialError, RootFindingError):
-                continue
-            if rs.count == n_prime:
-                chain[s] = rs
-    log.debug("solved tracking chains at halving levels 1-%d", _MAX_HALVINGS)
-    return chain
+    n_prime = chain[scale * anchors[0]].count
+    sub = scale >> level
+    for s in range(scale * anchors[0] + sub, scale * anchors[-1], 2 * sub):
+        u = unit_point(cfg.base_phase + s * (cfg.phase_step / scale))
+        neighbour = chain[s - sub] if chain[s - sub] is not None else chain[s + sub]
+        guesses = None if neighbour is None else neighbour.roots
+        try:
+            rs = slice_roots(P, u, guesses=guesses)
+        except (ZeroPolynomialError, RootFindingError):
+            continue
+        if rs.count == n_prime:
+            chain[s] = rs
 
 
 def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     """Search the transform for a blur_m x blur_n blur along v.
 
-    Evaluates every combination of n - 1 base-point roots (lexicographic,
-    capped at ``cfg.max_combinations``), reports each with its metrics, and
-    picks as best the accepted candidate with the smallest sigma_gap (ties
-    go to the lexicographically smallest combination).  A run that accepts
-    nothing returns an empty-best report rather than raising.
+    Tracks the base-point roots at halving levels 0, 1, ... in turn,
+    solving each level's midpoints only when the search reaches it, and
+    rank-tests every combination (lexicographic, capped at
+    ``cfg.max_combinations``) at the first level where it tracks.  The walk
+    stops after the first level that accepts a candidate, so a combination
+    that would first track at a deeper level counts as a tracking failure;
+    a search that accepts nothing walks every level.  With
+    ``cfg.early_stop`` the report ends at the first accepted combination of
+    the accepting level.  The best candidate is the accepted one with the
+    smallest sigma_gap (ties go to the lexicographically smallest
+    combination).  A run that accepts nothing returns an empty-best report
+    rather than raising.
     """
     if cfg.axis is not Axis.V:
         raise AxisError(
@@ -519,22 +532,29 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     if n_prime < k:
         return SearchReport(m, n, q, cfg.axis, sample_phases=phases, n_prime=n_prime)
     total = math.comb(n_prime, k)
-    truncated = total > cfg.max_combinations
+    evaluated = min(total, cfg.max_combinations)
 
     # Level 0 steps from sample point to sample point, level L in steps of
-    # phase_step / 2**L.
+    # phase_step / 2**L; every level is a strided view of the finest chain,
+    # in which the slots of replaced sample points stay empty.
     anchors = [round((pt.phase - cfg.base_phase) / cfg.phase_step) for pt in points]
-    chain = _solve_chain(P, cfg, anchors, slices)
-    levels = []
+    scale = 2**_MAX_HALVINGS
+    chain: list[RootSlice | None] = [None] * (scale * anchors[-1] + 1)
+    for a, rs in zip(anchors, slices):
+        chain[scale * a] = rs
+    # Candidates by lexicographic index; a combination is rank-tested at the
+    # first level where it tracks and never again.
+    found: dict[int, BlurCandidate] = {}
     for level in range(_MAX_HALVINGS + 1):
-        view = chain[:: 2 ** (_MAX_HALVINGS - level)]
-        levels.append(_track_chain([a * 2**level for a in anchors], view, cfg.tol_track_ratio))
-    outcomes: list[BlurCandidate | None] = []
-    for combo in enumerate_combinations(n_prime, k, cfg.max_combinations):
-        sel = list(combo)
-        cand = None
-        for at_anchors, ok in levels:
-            if not ok[sel].all() or len(set(at_anchors[-1, sel].tolist())) < k:
+        if level:
+            _solve_level(P, cfg, chain, anchors, level)
+        at_anchors, ok = _track_chain(
+            [a << level for a in anchors], chain[:: scale >> level], cfg.tol_track_ratio
+        )
+        accepted = False
+        for i, combo in enumerate(enumerate_combinations(n_prime, k, cfg.max_combinations)):
+            sel = list(combo)
+            if i in found or not ok[sel].all() or len(set(at_anchors[-1, sel].tolist())) < k:
                 continue
             # The rank test always runs on the sample points themselves, so
             # it keeps its full discrimination whichever level tracked.
@@ -547,13 +567,17 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
             A = build_system(track, points, m, n)
             sigma_min, sigma_second, xi = nullspace_min(A)
             cand = extract_blur(xi, m, n, q, cfg, sigma_min, sigma_second, combo)
-            break
-        outcomes.append(cand)
-        if cfg.early_stop and cand is not None and cand.accepted:
+            found[i] = cand
+            if cand.accepted:
+                accepted = True
+                if cfg.early_stop:
+                    evaluated = i + 1
+                    break
+        if accepted:
+            log.debug("accepted at halving level %d", level)
             break
 
-    candidates = [c for c in outcomes if c is not None]
-    tracking_failures = len(outcomes) - len(candidates)
+    candidates = [found[i] for i in sorted(found) if i < evaluated]
     best: BlurCandidate | None = None
     for cand in candidates:
         if cand.accepted and (best is None or cand.sigma_gap < best.sigma_gap):
@@ -572,9 +596,9 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
         candidates=candidates,
         best=best,
         combinations_total=total,
-        combinations_evaluated=len(outcomes),
-        tracking_failures=tracking_failures,
-        truncated=truncated,
+        combinations_evaluated=evaluated,
+        tracking_failures=evaluated - len(candidates),
+        truncated=total > cfg.max_combinations,
     )
 
 

@@ -259,6 +259,7 @@ def _polish(coeffs: np.ndarray, guesses: np.ndarray, tol_root: float):
     smallest residual seen, that residual and the residual scale there.
     """
     desc = coeffs[::-1]
+    ddesc = np.polyder(desc)
     z = np.array(guesses, dtype=np.complex128)
     best_z = z.copy()
     best_res = np.full(len(z), np.inf)
@@ -276,10 +277,15 @@ def _polish(coeffs: np.ndarray, guesses: np.ndarray, tol_root: float):
         best_z[idx], best_res[idx], best_scale[idx] = za[better], res[better], scale[better]
         if it == _NEWTON_MAX_ITER:
             break
-        dv = np.polyval(np.polyder(desc), za)
+        # p' only where a step is still needed
+        need = ~(res <= tol_root * scale)
+        active, za = active[need], za[need]
+        if not active.size:
+            break
+        dv = np.polyval(ddesc, za)
         with np.errstate(all="ignore"):
-            step = pv / dv
-        go = ~(res <= tol_root * scale) & (dv != 0) & np.isfinite(step)
+            step = pv[need] / dv
+        go = (dv != 0) & np.isfinite(step)
         active = active[go]
         if not active.size:
             break

@@ -503,47 +503,78 @@ class TestSearchBlur:
         with pytest.raises(AxisError):
             search_blur(ztransform(g), SearchConfig(blur_m=2, blur_n=2, axis=Axis.U))
 
-    def test_each_slice_solved_once(self, monkeypatch):
-        # this search refines tracking through midpoints; every point u,
-        # sample point or midpoint, is solved exactly once
-        _, _, g = exact_model(seed=3, fw=12, fh=12, m=2, n=3)
-        solved = Counter()
+    @staticmethod
+    def record_solves(monkeypatch):
+        solved = []
         slice_roots_ = zerosheet.search.slice_roots
 
-        def counting(P, u, *args, **kwargs):
-            solved[complex(u)] += 1
+        def recording(P, u, *args, **kwargs):
+            solved.append(u)
             return slice_roots_(P, u, *args, **kwargs)
 
-        monkeypatch.setattr(zerosheet.search, "slice_roots", counting)
-        cfg = SearchConfig(blur_m=2, blur_n=3, phase_step=0.3)
+        monkeypatch.setattr(zerosheet.search, "slice_roots", recording)
+        return solved
+
+    def test_each_slice_solved_once(self, monkeypatch):
+        # no candidate meets this tol_null, so the search walks all four
+        # halving levels: 3 sample points plus 2 + 4 + 8 + 16 midpoints,
+        # every point u solved exactly once
+        _, _, g = exact_model(seed=3, fw=12, fh=12, m=2, n=3)
+        solved = self.record_solves(monkeypatch)
+        cfg = SearchConfig(blur_m=2, blur_n=3, phase_step=0.3, tol_null=1e-300)
         rep = search_blur(ztransform(g), cfg)
-        assert rep.best is not None and rep.tracking_failures > 0
-        assert len(solved) > rep.q
-        assert max(solved.values()) == 1, solved.most_common(3)
+        assert rep.best is None and rep.tracking_failures > 0
+        counts = Counter(complex(u) for u in solved)
+        assert len(counts) == rep.q + 30
+        assert max(counts.values()) == 1, counts.most_common(3)
 
     def test_eigen_solves_only_at_sample_points(self, monkeypatch):
-        # this search refines through all four halving levels: 4 sample
-        # points plus 3 + 6 + 12 + 24 midpoints, each solved once, and only
-        # the sample points by companion-matrix eigenvalues
+        # no candidate meets this tol_null, so the search refines through
+        # all four halving levels: 4 sample points plus 3 + 6 + 12 + 24
+        # midpoints, each solved once, and only the sample points by
+        # companion-matrix eigenvalues
         img = convolve(synth_image(64, 64, 5), synth_blur(2, 2, 6))
-        eigen, solved = [], []
+        eigen = []
         real_roots = np.roots
-        slice_roots_ = zerosheet.search.slice_roots
 
         def counting_roots(c):
             eigen.append(len(c))
             return real_roots(c)
 
-        def counting_slices(P, u, *args, **kwargs):
-            solved.append(u)
-            return slice_roots_(P, u, *args, **kwargs)
-
         monkeypatch.setattr(np, "roots", counting_roots)
-        monkeypatch.setattr(zerosheet.search, "slice_roots", counting_slices)
-        rep = search_image(img, SearchConfig(blur_m=2, blur_n=2, phase_step=0.1))
-        assert rep.best is not None and rep.tracking_failures > 0
+        solved = self.record_solves(monkeypatch)
+        rep = search_image(img, SearchConfig(blur_m=2, blur_n=2, phase_step=0.1, tol_null=1e-300))
+        assert rep.best is None and rep.tracking_failures > 0
         assert len(eigen) == rep.q == 4
         assert len(solved) == 49
+
+    def test_accept_at_sample_points_solves_no_midpoint(self, monkeypatch):
+        solved = self.record_solves(monkeypatch)
+        _, _, g = exact_model(seed=3, fw=12, fh=12, m=2, n=2)
+        rep = search_blur(ztransform(g), SearchConfig(blur_m=2, blur_n=2))
+        assert rep.best is not None
+        assert len(solved) == rep.q == 4
+
+    def test_blur_free_image_walks_every_level(self, monkeypatch):
+        # 4 sample points plus 3 + 6 + 12 + 24 midpoints
+        solved = self.record_solves(monkeypatch)
+        rep = search_blur(ztransform(synth_image(16, 16, 31)), SearchConfig(blur_m=2, blur_n=2))
+        assert rep.best is None and not any(c.accepted for c in rep.candidates)
+        assert len(solved) == rep.q + 45 == 49
+
+    def test_stops_at_first_level_that_accepts(self, monkeypatch):
+        # the true combination of this input first tracks at halving level 3:
+        # the search solves the midpoints of levels 1-3, every second entry
+        # of the finest chain, and none of level 4
+        solved = self.record_solves(monkeypatch)
+        _, h, g = exact_model(seed=20, fw=16, fh=16, m=2, n=2)
+        cfg = SearchConfig(blur_m=2, blur_n=2, phase_step=0.3)
+        rep = search_blur(ztransform(g), cfg)
+        assert rep.best is not None
+        assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(h)))) <= 1e-12
+        phases = sorted(float(np.angle(u)) for u in solved)
+        want = [cfg.base_phase + s * (cfg.phase_step / 16) for s in range(0, 49, 2)]
+        assert phases == pytest.approx(want, abs=1e-12)
 
     def test_counters_add_up(self):
         _, _, g = exact_model(seed=11, fw=12, fh=12, m=2, n=2)
@@ -568,7 +599,8 @@ class TestChainEmptySlots:
     (phase pi) is the zero polynomial and its slot stays empty: either a
     sample point is replaced, or a level-1 midpoint is skipped.  Every
     midpoint whose left neighbour is that slot starts from the roots of its
-    right neighbour instead.
+    right neighbour instead.  No candidate meets the searches' tol_null, so
+    they solve the midpoints of all four halving levels.
     """
 
     STEP = 0.32
@@ -587,10 +619,15 @@ class TestChainEmptySlots:
             return call[2]
 
         monkeypatch.setattr(zerosheet.search, "slice_roots", recording)
-        cfg = SearchConfig(blur_m=2, blur_n=2, base_phase=base_phase, phase_step=self.STEP)
+        cfg = SearchConfig(
+            blur_m=2, blur_n=2, base_phase=base_phase, phase_step=self.STEP, tol_null=1e-300
+        )
         rep = search_image(img, cfg)
-        assert rep.best is not None and rep.best.combination == (0,)
-        assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(blur)))) <= 1e-12
+        assert rep.best is None
+        # the true combination is still the one the default tol_null accepts
+        (true,) = [c for c in rep.candidates if c.combination == (0,)]
+        assert true.sigma_gap <= 1e-6 and true.realness <= 1e-6
+        assert np.max(np.abs(true.h - unit_sum(matrix_from_image(blur)))) <= 1e-12
         assert all(abs(p - math.pi) > 1e-9 for p in rep.sample_phases)
         return rep, calls
 
