@@ -11,7 +11,6 @@ __all__ = [
     "RootFindingError",
     "AxisError",
     "SamplingError",
-    "TrackingError",
     "LinearAlgebraError",
     "DegenerateCandidateError",
     "DivisionUnstableError",
@@ -62,10 +61,6 @@ class AxisError(ZeroSheetError):
 
 class SamplingError(ZeroSheetError):
     """Could not assemble the required number of non-degenerate sample points."""
-
-
-class TrackingError(ZeroSheetError):
-    """Root correspondence between neighbouring sample points is ambiguous."""
 
 
 class LinearAlgebraError(ZeroSheetError):

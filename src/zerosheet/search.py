@@ -12,23 +12,26 @@ so a numerically rank-deficient system (tiny sigma_min / sigma_second)
 certifies that the tracked roots belong to an actual m x n blur, and the
 corresponding null vector holds its entries.
 
-The search enumerates all combinations of n - 1 base-point roots in
+The search considers the combinations of n - 1 base-point roots in
 lexicographic order and reports every evaluated candidate.  Tracking
 depends on single roots, so it runs once per root rather than once per
 combination: every base root is followed across the sample points by
 nearest-neighbour matching, and a combination tracks when each of its roots
 matches unambiguously at every step and no two of them end on the same
-root.  A combination that does not track is tried again on finer chains,
-each halving the phase step of the one before.  The levels are solved on
-demand, one at a time: level L's midpoints are solved only when the search
-reaches it, all roots are tracked once there, and the combinations that
-track there for the first time are rank-tested.  The search stops after the
-first level at which a candidate is accepted, so a kernel found at the
-sample points costs no midpoint at all.  Every level is a strided view of
-one chain at the finest step.  Eigenvalue root finding runs only at the
-sample points: each midpoint starts from the roots of its coarser neighbour
-one sub-step away, so the rank test's inputs are the same as with a cold
-solve everywhere.
+root.  Only combinations of roots that passed on their own are walked; each
+one's lexicographic rank among all combinations keeps the report's counts
+and the ``max_combinations`` cap as if every combination had been visited.
+A combination that does not track is tried again on finer chains, each
+halving the phase step of the one before.  The levels are solved on demand,
+one at a time: level L's midpoints are solved only when the search reaches
+it, all roots are tracked once there, and the combinations that track there
+for the first time are rank-tested.  The search stops after the first level
+at which a candidate is accepted, so a kernel found at the sample points
+costs no midpoint at all.  Every level is a strided view of one chain at
+the finest step.  Eigenvalue root finding runs only at the sample points:
+each midpoint starts from the roots of its coarser neighbour one sub-step
+away, so the rank test's inputs are the same as with a cold solve
+everywhere.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .errors import (
     LinearAlgebraError,
     RootFindingError,
     SamplingError,
-    TrackingError,
     ZeroPolynomialError,
 )
 from .image import Image, transpose
@@ -66,13 +68,10 @@ __all__ = [
     "Axis",
     "SearchConfig",
     "SamplePoint",
-    "SheetTrack",
     "BlurCandidate",
     "SearchReport",
     "compute_q",
     "choose_sample_points",
-    "track_roots",
-    "enumerate_combinations",
     "build_system",
     "nullspace_min",
     "extract_blur",
@@ -146,18 +145,6 @@ class SamplePoint:
 
     value: complex
     phase: float
-
-
-@dataclass(frozen=True, eq=False)
-class SheetTrack:
-    """A candidate root set followed across all sample points.
-
-    ``per_point_roots[0]`` holds the chosen base-point roots; entry j holds
-    their matched counterparts at sample point j + 1.
-    """
-
-    combination: tuple[int, ...]
-    per_point_roots: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,13 +256,13 @@ def _match(
     sources: np.ndarray,
     targets: np.ndarray,
     tol_track_ratio: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-neighbour match of every source root among the targets.
 
-    Returns, per source root, the index of its nearest target, the
-    ambiguity ratio d_best / d_second (0 when there is no second target),
-    and whether the match passes: it fails when the second-nearest target
-    lies at distance 0 or the ratio exceeds ``tol_track_ratio``.
+    Returns, per source root, the index of its nearest target and whether
+    the match passes: it fails when the second-nearest target lies at
+    distance 0 or the ambiguity ratio d_best / d_second exceeds
+    ``tol_track_ratio``.
     """
     d = np.abs(targets[None, :] - sources[:, None])
     rows = np.arange(len(sources))
@@ -286,68 +273,35 @@ def _match(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.isfinite(d_second), d_best / d_second, 0.0)
     passed = (d_second != 0.0) & ~(ratio > tol_track_ratio)
-    return nearest, ratio, passed
+    return nearest, passed
 
 
-def track_roots(
-    prev: RootSlice,
-    next: RootSlice,
-    selected,
-    tol_track_ratio: float = 0.5,
-) -> tuple[int, ...]:
-    """Map selected roots of one slice to their counterparts in the next.
-
-    Both slices must carry the same number of roots.  Raises
-    :class:`TrackingError` on a count mismatch, an ambiguous match
-    (nearest/second-nearest ratio above ``tol_track_ratio``, or a repeated
-    target root), or a collision; callers recover by halving the phase step.
-    """
-    if prev.count != next.count:
-        raise TrackingError(
-            f"root counts differ between slices ({prev.count} vs {next.count})"
-        )
-    selected = list(selected)
-    nearest, ratio, passed = _match(prev.roots[selected], next.roots, tol_track_ratio)
-    for i, r, ok in zip(selected, ratio, passed):
-        if not ok:
-            raise TrackingError(
-                f"no unambiguous match for root {i} (ambiguity ratio {r:.3g}, "
-                f"limit {tol_track_ratio})"
-            )
-    if len(set(nearest.tolist())) < len(selected):
-        raise TrackingError("two selected roots map to the same target root")
-    return tuple(nearest.tolist())
-
-
-def enumerate_combinations(n_prime: int, k: int, cap: int):
-    """Sorted k-subsets of range(n_prime), lexicographic, at most ``cap``."""
-    if not 1 <= k <= n_prime:
-        raise ValueError(f"need 1 <= k <= n_prime, got k={k}, n_prime={n_prime}")
-    for count, combo in enumerate(itertools.combinations(range(n_prime), k)):
-        if count >= cap:
-            return
-        yield combo
+def _lex_rank(combo: tuple[int, ...], n: int) -> int:
+    """Position of the sorted ``combo`` in ``itertools.combinations(range(n), k)``."""
+    k = len(combo)
+    return math.comb(n, k) - 1 - sum(math.comb(n - 1 - c, k - i) for i, c in enumerate(combo))
 
 
 def build_system(
-    track: SheetTrack,
+    per_point_roots: list[np.ndarray],
     points: list[SamplePoint],
     m: int,
     n: int,
 ) -> np.ndarray:
     """Assemble the (q*n) x (m*n + q) homogeneous matrix for one candidate.
 
-    Unknown vector layout: the m*n blur entries first, x-major within each
-    y block (column y*m + x), then the q scales p_j.  Row (j, y) encodes
-    ``sum_x h(x, y) u_j^x - p_j c_y = 0`` with c the monic coefficients of
-    the roots tracked at point j.
+    ``per_point_roots[j]`` holds the candidate's n - 1 roots tracked to
+    sample point j.  Unknown vector layout: the m*n blur entries first,
+    x-major within each y block (column y*m + x), then the q scales p_j.
+    Row (j, y) encodes ``sum_x h(x, y) u_j^x - p_j c_y = 0`` with c the
+    monic coefficients of the roots tracked at point j.
     """
     q = len(points)
-    if len(track.per_point_roots) != q:
-        raise ValueError("track does not span the sample points")
+    if len(per_point_roots) != q:
+        raise ValueError("roots do not span the sample points")
     A = np.zeros((q * n, m * n + q), dtype=np.complex128)
     for j, pt in enumerate(points):
-        roots_j = track.per_point_roots[j]
+        roots_j = per_point_roots[j]
         if len(roots_j) != n - 1:
             raise ValueError(f"expected {n - 1} tracked roots, got {len(roots_j)}")
         pows = _powers(pt.value, m)
@@ -456,7 +410,7 @@ def _track_chain(
         for nxt in chain[anchors[j - 1] + 1 : anchors[j] + 1]:
             if nxt is None:
                 continue
-            nearest, _, passed = _match(current.roots, nxt.roots, tol_track_ratio)
+            nearest, passed = _match(current.roots, nxt.roots, tol_track_ratio)
             ok &= passed[idx]
             idx = nearest[idx]
             current = nxt
@@ -503,7 +457,10 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     Tracks the base-point roots at halving levels 0, 1, ... in turn,
     solving each level's midpoints only when the search reaches it, and
     rank-tests every combination (lexicographic, capped at
-    ``cfg.max_combinations``) at the first level where it tracks.  The walk
+    ``cfg.max_combinations``) at the first level where it tracks.  Each
+    level walks only the combinations of roots that passed there, in
+    lexicographic order, and counts each by its rank among all
+    combinations.  The walk
     stops after the first level that accepts a candidate, so a combination
     that would first track at a deeper level counts as a tracking failure;
     a search that accepts nothing walks every level.  With
@@ -552,19 +509,18 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
             [a << level for a in anchors], chain[:: scale >> level], cfg.tol_track_ratio
         )
         accepted = False
-        for i, combo in enumerate(enumerate_combinations(n_prime, k, cfg.max_combinations)):
+        for combo in itertools.combinations(np.flatnonzero(ok).tolist(), k):
+            i = _lex_rank(combo, n_prime)
+            if i >= cfg.max_combinations:
+                break
             sel = list(combo)
-            if i in found or not ok[sel].all() or len(set(at_anchors[-1, sel].tolist())) < k:
+            if i in found or len(set(at_anchors[-1, sel].tolist())) < k:
                 continue
             # The rank test always runs on the sample points themselves, so
             # it keeps its full discrimination whichever level tracked.
-            track = SheetTrack(
-                combination=combo,
-                per_point_roots=tuple(
-                    rs.roots[idx] for rs, idx in zip(slices, at_anchors[:, sel])
-                ),
+            A = build_system(
+                [rs.roots[idx] for rs, idx in zip(slices, at_anchors[:, sel])], points, m, n
             )
-            A = build_system(track, points, m, n)
             sigma_min, sigma_second, xi = nullspace_min(A)
             cand = extract_blur(xi, m, n, q, cfg, sigma_min, sigma_second, combo)
             found[i] = cand

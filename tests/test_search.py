@@ -13,15 +13,13 @@ from zerosheet import (
     AxisError,
     DegenerateCandidateError,
     Image,
+    LinearAlgebraError,
     SearchConfig,
-    SheetTrack,
-    TrackingError,
     build_system,
     choose_sample_points,
     compute_q,
     convolve,
     elementary_symmetric_coeffs,
-    enumerate_combinations,
     extract_blur,
     matrix_from_image,
     nullspace_min,
@@ -30,13 +28,12 @@ from zerosheet import (
     slice_roots,
     synth_blur,
     synth_image,
-    track_roots,
     transpose,
     unit_point,
     ztransform,
 )
 import zerosheet.search
-from zerosheet.search import SamplePoint, _track_chain
+from zerosheet.search import SamplePoint, _lex_rank, _track_chain
 from zerosheet.zpoly import RootSlice
 
 
@@ -131,52 +128,58 @@ class TestChooseSamplePoints:
         assert len({v for v in vals}) == 5
 
 
+def track_pair(prev, nxt, tol_track_ratio=0.5):
+    """Each root's nearest match in ``nxt`` and whether it passed."""
+    at_anchors, ok = _track_chain([0, 1], [prev, nxt], tol_track_ratio)
+    return at_anchors[1].tolist(), ok.tolist()
+
+
 class TestTrackRoots:
     def test_nearest_neighbour(self):
         prev = make_slice([1.0, -1.0])
-        nxt = make_slice([1.01, -0.99])
-        assert track_roots(prev, nxt, (0,)) == (0,)
-        assert track_roots(prev, nxt, (1, 0)) == (1, 0)
+        nxt = make_slice([-0.99, 1.01])
+        assert track_pair(prev, nxt) == ([1, 0], [True, True])
 
     def test_ambiguity_error(self):
         prev = make_slice([1.0, 1.001])
         nxt = make_slice([1.0005, 1.0006])
-        with pytest.raises(TrackingError):
-            track_roots(prev, nxt, (0,), tol_track_ratio=0.5)
+        _, ok = track_pair(prev, nxt, tol_track_ratio=0.5)
+        assert not ok[0]
 
     def test_collision_error(self):
+        # roots 0 and 1 pass on their own but end on the same target, so
+        # no combination holding both tracks
         prev = make_slice([0.0, 0.2, 5.0])
         nxt = make_slice([0.1, 4.0, 9.0])
-        with pytest.raises(TrackingError):
-            track_roots(prev, nxt, (0, 1))
-
-    def test_count_mismatch(self):
-        with pytest.raises(TrackingError):
-            track_roots(make_slice([1.0]), make_slice([1.0, 2.0]), (0,))
+        ends, ok = track_pair(prev, nxt)
+        assert ok[:2] == [True, True] and ends[0] == ends[1]
 
     def test_true_blur_roots_stay_on_sheet(self):
         # tracked image roots follow the blur's own slice roots across points
         f, h, g = exact_model(seed=8, fw=14, fh=14, m=2, n=3)
         Pg, Ph = ztransform(g), ztransform(h)
         base, step = 0.3, 0.01
-        prev = slice_roots(Pg, unit_point(base))
+        chain = [slice_roots(Pg, unit_point(base + j * step)) for j in range(5)]
+        at_anchors, ok = _track_chain(list(range(5)), chain, 0.5)
         hr = slice_roots(Ph, unit_point(base)).roots
-        sel = tuple(int(np.argmin(np.abs(prev.roots - r))) for r in hr)
+        sel = [int(np.argmin(np.abs(chain[0].roots - r))) for r in hr]
+        assert ok[sel].all() and len(set(at_anchors[-1, sel].tolist())) == len(sel)
         for j in range(1, 5):
-            nxt = slice_roots(Pg, unit_point(base + j * step))
-            sel = track_roots(prev, nxt, sel)
             hr_j = slice_roots(Ph, unit_point(base + j * step)).roots
-            tracked = nxt.roots[list(sel)]
+            tracked = chain[j].roots[at_anchors[j, sel]]
             worst = max(min(abs(t - r) for r in hr_j) for t in tracked)
             assert worst <= 1e-6
-            prev = nxt
+
+
+class MatchError(Exception):
+    """The reference oracle found no unambiguous, injective match."""
 
 
 def match_selected(prev_roots, next_roots, selected, tol_track_ratio):
     """Reference oracle: injective nearest-neighbour matching of the selected
     roots, one root after another, as the search did per combination before
     it tracked each root once.  Returns the matched indices (selected order
-    preserved) and the worst ambiguity ratio; raises TrackingError."""
+    preserved) and the worst ambiguity ratio; raises MatchError."""
     used: set[int] = set()
     out: list[int] = []
     worst = 0.0
@@ -189,12 +192,12 @@ def match_selected(prev_roots, next_roots, selected, tol_track_ratio):
         else:
             d_second = math.inf
         if d_second == 0.0:
-            raise TrackingError(f"root {i} matches a repeated target root")
+            raise MatchError(f"root {i} matches a repeated target root")
         ratio = d_best / d_second if math.isfinite(d_second) else 0.0
         if ratio > tol_track_ratio:
-            raise TrackingError(f"ambiguity ratio {ratio:.3g} for root {i}")
+            raise MatchError(f"ambiguity ratio {ratio:.3g} for root {i}")
         if j_best in used:
-            raise TrackingError(f"two selected roots map to target root {j_best}")
+            raise MatchError(f"two selected roots map to target root {j_best}")
         used.add(j_best)
         out.append(j_best)
         worst = max(worst, ratio)
@@ -216,7 +219,7 @@ def walk_combination(anchors, chain, combo, tol_track_ratio):
                 selected, _ = match_selected(
                     current.roots, nxt.roots, selected, tol_track_ratio
                 )
-            except TrackingError:
+            except MatchError:
                 return None
             current = nxt
         at_anchors.append(selected)
@@ -268,82 +271,86 @@ class TestTrackChain:
                 if walked is not None:
                     assert [tuple(row) for row in at_anchors[:, sel].tolist()] == walked
 
-    @settings(max_examples=300, deadline=None)
-    @given(root_chains())
-    def test_track_roots_matches_oracle(self, drawn):
-        anchors, chain, tol = drawn
-        prev, nxt = chain[anchors[0]], chain[anchors[1]]
-        for k in range(1, min(prev.count, 3) + 1):
-            for combo in itertools.permutations(range(prev.count), k):
-                try:
-                    expected, _ = match_selected(prev.roots, nxt.roots, combo, tol)
-                except TrackingError:
-                    with pytest.raises(TrackingError):
-                        track_roots(prev, nxt, combo, tol)
-                else:
-                    assert track_roots(prev, nxt, combo, tol) == expected
-
 
 class TestEnumerateCombinations:
+    """The search walks the combinations of roots that tracked, in
+    lexicographic order, and counts each by its rank among all of them."""
+
     def test_small(self):
-        assert list(enumerate_combinations(4, 1, 100)) == [(0,), (1,), (2,), (3,)]
+        assert [_lex_rank((i,), 4) for i in range(4)] == [0, 1, 2, 3]
 
     def test_lexicographic_pairs(self):
-        combos = list(enumerate_combinations(4, 2, 100))
-        assert combos == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert [_lex_rank(c, 4) for c in pairs] == list(range(6))
+
+    def test_rank_is_itertools_position(self):
+        for n in range(1, 10):
+            for k in range(1, min(n, 4) + 1):
+                for i, combo in enumerate(itertools.combinations(range(n), k)):
+                    assert _lex_rank(combo, n) == i, (n, combo)
 
     def test_section_scale_counts(self):
-        assert sum(1 for _ in enumerate_combinations(44, 2, 10**6)) == 946
-        assert sum(1 for _ in enumerate_combinations(44, 1, 10**6)) == 44
+        # the last of the 946 pairs and of the 44 single roots of n' = 44
+        assert _lex_rank((42, 43), 44) == 945
+        assert _lex_rank((43,), 44) == 43
+
+    @staticmethod
+    def capped(m, n, cap):
+        img = convolve(synth_image(40, 40, 12), synth_blur(m, n, 1012))
+        cfg = SearchConfig(blur_m=m, blur_n=n, phase_step=0.32, max_combinations=cap)
+        return search_blur(ztransform(img), cfg)
 
     def test_cap(self):
-        assert sum(1 for _ in enumerate_combinations(44, 2, 100)) == 100
+        # the cap counts every combination in lexicographic order, tracked
+        # or not; 13 of the first 400 of C(41, 2) = 820 track
+        rep = self.capped(2, 3, 400)
+        assert rep.combinations_total == 820 and rep.truncated
+        assert rep.combinations_evaluated == 400 and rep.tracking_failures == 387
+        combos = [c.combination for c in rep.candidates]
+        assert combos == [(7, 8)] + [(a, b) for a in (7, 8) for b in (18, 24, 30, 32, 33, 38)]
+        assert rep.best.combination == (7, 8)
 
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            list(enumerate_combinations(3, 4, 10))
+    def test_cap_hides_kernel_ranked_past_it(self):
+        # the 3x3 kernel's roots (12, 14) rank 415 of C(41, 2) = 820, past a cap of 400
+        rep = self.capped(3, 3, 400)
+        assert rep.best is None
+        assert [c.combination for c in rep.candidates] == [(3, 12), (3, 14), (3, 28)]
+        assert self.capped(3, 3, 700).best.combination == (12, 14)
 
 
 def ground_truth_track(g, h, q, base=0.3, step=0.01):
-    """SheetTrack of the blur's own roots inside the image's slices."""
+    """The blur's own roots inside the image's slices, per sample point."""
     Pg, Ph = ztransform(g), ztransform(h)
     points, per_point = [], []
-    combo = None
     for j in range(q):
         u = unit_point(base + j * step)
         gr = slice_roots(Pg, u).roots
         hr = slice_roots(Ph, u).roots
-        idx = tuple(int(np.argmin(np.abs(gr - r))) for r in hr)
-        if combo is None:
-            combo = tuple(sorted(idx))
+        idx = [int(np.argmin(np.abs(gr - r))) for r in hr]
         points.append(SamplePoint(value=u, phase=base + j * step))
-        per_point.append(gr[list(idx)])
-    track = SheetTrack(
-        combination=combo,
-        per_point_roots=tuple(per_point),
-    )
-    return track, points
+        per_point.append(gr[idx])
+    return per_point, points
 
 
 class TestBuildSystem:
     def test_shape_2x2(self):
         f, h, g = exact_model(seed=4, fw=10, fh=10, m=2, n=2)
-        track, points = ground_truth_track(g, h, q=4)
-        A = build_system(track, points, 2, 2)
+        roots, points = ground_truth_track(g, h, q=4)
+        A = build_system(roots, points, 2, 2)
         assert A.shape == (8, 8)
 
     def test_shape_3x3(self):
         f, h, g = exact_model(seed=4, fw=10, fh=10, m=3, n=3)
-        track, points = ground_truth_track(g, h, q=5)
-        A = build_system(track, points, 3, 3)
+        roots, points = ground_truth_track(g, h, q=5)
+        A = build_system(roots, points, 3, 3)
         assert A.shape == (15, 14)
 
     def test_true_null_vector(self):
         # the stacked true blur entries and implied scales annihilate A
         f, h, g = exact_model(seed=9, fw=12, fh=11, m=2, n=3)
         q = compute_q(2, 3)
-        track, points = ground_truth_track(g, h, q)
-        A = build_system(track, points, 2, 3)
+        roots, points = ground_truth_track(g, h, q)
+        A = build_system(roots, points, 2, 3)
         hm = matrix_from_image(h)  # (m, n)[x, y]
         xi = np.zeros(2 * 3 + q, dtype=complex)
         for y in range(3):
@@ -358,8 +365,7 @@ class TestBuildSystem:
     def test_row_encoding(self):
         # row (j, y) carries u^x powers in the y-block and -c_y in column mn+j
         pts = [SamplePoint(value=2.0 + 0j, phase=0.0)]
-        tr = SheetTrack(combination=(0,), per_point_roots=(np.array([3.0 + 0j]),))
-        A = build_system(tr, pts, 2, 2)
+        A = build_system([np.array([3.0 + 0j])], pts, 2, 2)
         c = elementary_symmetric_coeffs([3.0 + 0j])
         assert A.shape == (2, 5)
         assert np.allclose(A[0], [1.0, 2.0, 0.0, 0.0, -c[0]])
@@ -391,6 +397,10 @@ class TestNullspaceMin:
     def test_too_wide(self):
         with pytest.raises(ValueError):
             nullspace_min(np.zeros((3, 5), dtype=complex))
+
+    def test_svd_failure(self):
+        with pytest.raises(LinearAlgebraError):
+            nullspace_min(np.full((4, 3), np.nan))
 
 
 class TestExtractBlur:
