@@ -350,7 +350,7 @@ def cmd_roots(ns: argparse.Namespace) -> int:
         entries.append(entry)
 
     doc = {
-        "report_version": 1,
+        "report_version": 2,
         "tool_version": __version__,
         "command": "roots",
         "input": str(ns.input),

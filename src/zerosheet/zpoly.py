@@ -140,7 +140,10 @@ def residual_scale(coeffs: np.ndarray, z):
     """Evaluation magnitude ``sum_y |a_y| |z|^y``, the smallest scale at which
     a Horner residual at z is meaningful in double precision.  z may be a
     scalar or an array of points."""
-    return np.polyval(np.abs(coeffs)[::-1], np.abs(z))
+    r, scale = np.abs(z), 0.0
+    for m in np.abs(coeffs)[::-1]:
+        scale = scale * r + m
+    return scale
 
 
 def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
@@ -151,43 +154,43 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     iterations started there (see :func:`_aberth`); a warm start that fails
     any of its guards falls back to the eigenvalues.  Either way all
     estimates are then polished together by Newton iteration on the
-    original coefficients until ``|p(root)| <= ROOT_TOL * sum_y |a_y|
-    |root|^y``.  The bound scales with the evaluation magnitude at the root,
-    so roots outside the unit circle get the same relative accuracy as
-    roots inside.  Returns (roots, residuals) sorted by real part, then
-    imaginary part; raises :class:`RootFindingError` if any root misses its
-    bound.
+    original coefficients until the relative residual ``|p(root)| / sum_y
+    |a_y| |root|^y`` is at most ``ROOT_TOL``.  Both solvers evaluate it at
+    1/root outside the unit circle (see :func:`_evaluate`), so no root is
+    out of range.  Returns (roots, relative residuals) sorted by real part,
+    then imaginary part; raises :class:`RootFindingError` if any root
+    misses the bound.
     """
     d = p.effective_degree
     if d < 1:
         raise ValueError("find_roots requires effective degree >= 1")
-    start = None if guesses is None else _aberth(p.coeffs, guesses, ROOT_TOL)
+    basis = _coeff_rows(p.coeffs)
+    start = None if guesses is None else _aberth(basis, guesses, ROOT_TOL)
     if start is None:
         start = np.roots(p.coeffs[::-1])
-    roots, residuals, scales = _polish(p.coeffs, start, ROOT_TOL)
-    missed = residuals > ROOT_TOL * scales
-    if missed.any():
-        worst_rel = float(np.max(residuals[missed] / scales[missed]))
+    roots, residuals = _polish(basis, start, ROOT_TOL)
+    if not (residuals <= ROOT_TOL).all():
         raise RootFindingError(
-            f"root polishing stalled at relative residual {worst_rel:.3e} "
+            f"root polishing stalled at relative residual {residuals.max():.3e} "
             f"(bound {ROOT_TOL:.3e}, degree {d})"
         )
     order = np.lexsort((roots.imag, roots.real))
     return roots[order], residuals[order]
 
 
-def _aberth(coeffs: np.ndarray, guesses, tol_root: float) -> np.ndarray | None:
+def _aberth(basis, guesses, tol_root: float) -> np.ndarray | None:
     """Simultaneous Aberth-Ehrlich iteration from ``guesses``.
 
-    Each step moves every root z_k that has not yet met the residual bound
-    twice in a row by N_k / (1 - N_k S_k), with the Newton step
-    N_k = p(z_k) / p'(z_k) and the repulsion S_k = sum_{j != k} 1 / (z_k - z_j),
-    at O(d^2) cost.  Returns the roots once all of them meet the bound, or
-    None when the guesses are not one finite estimate per root, an iterate
-    turns non-finite, the bound is still missed after ``_ABERTH_MAX_ITER``
-    steps, two results lie closer than ``CLUSTER_TOL``, or their sum misses
-    -a_{d-1} / a_d (Vieta).
+    Each step moves every root z_k that has not yet met the relative
+    residual bound twice in a row by N_k / (1 - N_k S_k), with the Newton
+    step N_k = p(z_k) / p'(z_k) (both from :func:`_evaluate`) and the
+    repulsion S_k = sum_{j != k} 1 / (z_k - z_j), at O(d^2) cost.  Returns
+    the roots once all meet the bound, or None when the guesses are not
+    one finite estimate per root, an iterate turns non-finite, the bound is
+    still missed after ``_ABERTH_MAX_ITER`` steps, two results lie closer
+    than ``CLUSTER_TOL``, or their sum misses -a_{d-1} / a_d (Vieta).
     """
+    coeffs = basis[0][0]
     d = len(coeffs) - 1
     z = np.array(guesses, dtype=np.complex128)
     if z.shape != (d,) or not np.isfinite(z).all():
@@ -197,8 +200,8 @@ def _aberth(coeffs: np.ndarray, guesses, tol_root: float) -> np.ndarray | None:
     with np.errstate(all="ignore"):
         for it in range(_ABERTH_MAX_ITER + 1):
             za = z[active]
-            pv, dv, scale = _evaluate(coeffs, za)
-            ok = np.abs(pv) <= tol_root * scale
+            residual, newton = _evaluate(basis, za)
+            ok = residual <= tol_root
             # a root stops once it meets the bound both before and after one
             # more step, which leaves it accurate to about round-off
             go = ~(ok & met[active])
@@ -208,7 +211,7 @@ def _aberth(coeffs: np.ndarray, guesses, tol_root: float) -> np.ndarray | None:
             if it == _ABERTH_MAX_ITER:
                 return None
             # converged roots stay put; the rest still feel their repulsion
-            newton = pv[go] / dv[go]
+            newton = newton[go]
             active, za = active[go], za[go]
             dr = np.subtract.outer(za.real, z.real)
             di = np.subtract.outer(za.imag, z.imag)
@@ -225,20 +228,44 @@ def _aberth(coeffs: np.ndarray, guesses, tol_root: float) -> np.ndarray | None:
     return z
 
 
-def _evaluate(coeffs: np.ndarray, z: np.ndarray):
-    """p(z), p'(z) and the residual scale at every point of z, from one
-    matrix of powers built by repeated doubling (row j holds ``z**j``)."""
+def _coeff_rows(coeffs: np.ndarray):
+    """Rows a, a', reversed a and (d - y) a_{d-y}, then |a| and |reversed a|."""
     d = len(coeffs) - 1
-    pows = np.empty((d + 1, len(z)), dtype=np.complex128)
+    rows = np.zeros((4, d + 1), dtype=np.complex128)
+    rows[0], rows[2] = coeffs, coeffs[::-1]
+    rows[1, :d] = coeffs[1:] * np.arange(1, d + 1)
+    rows[3] = (coeffs * np.arange(d + 1))[::-1]
+    return rows, np.abs(rows[::2])
+
+
+def _evaluate(basis, z: np.ndarray):
+    """Relative residual ``|p(z)| / sum_y |a_y| |z|^y`` and Newton step
+    p(z) / p'(z) at every point of z, from powers of w = z inside the unit
+    circle and w = 1/z outside, so no power exceeds 1 in modulus.  Outside,
+    p(z) = z^d r(w) with r(w) = sum_y a_{d-y} w^y: the residual is |r(w)| /
+    sum_y |a_{d-y}| |w|^y and the step z r / s, s(w) = d r - w r' = sum_y
+    (d - y) a_{d-y} w^y.  One matrix of powers, built by repeated doubling
+    (row j holds ``w**j``), serves all rows of :func:`_coeff_rows`."""
+    rows, mags = basis
+    d = rows.shape[1] - 1
+    out = np.abs(z) > 1.0
+    w = np.divide(1.0, z, out=z.copy(), where=out)
+    pows = np.empty((d + 1, len(w)), dtype=np.complex128)
     pows[0] = 1.0
-    n, zn = 1, z
+    n, wn = 1, w
     while n <= d:
         m = min(n, d + 1 - n)
-        np.multiply(pows[:m], zn, out=pows[n : n + m])
-        zn = zn * zn
+        np.multiply(pows[:m], wn, out=pows[n : n + m])
+        wn = wn * wn
         n *= 2
-    deriv = coeffs[1:] * np.arange(1, d + 1)
-    return coeffs @ pows, deriv @ pows[:-1], np.abs(coeffs) @ np.abs(pows)
+    vals, scales = rows @ pows, mags @ np.abs(pows)
+    f, df = np.where(out, vals[2:], vals[:2])
+    scale = np.where(out, scales[1], scales[0])
+    # scale is 0 only where every term of p is, as at z = 0 when a_0 = 0
+    residual = np.divide(np.abs(f), scale, out=np.zeros(len(z)), where=scale > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(out, z, 1.0) * f / df
+    return residual, step
 
 
 def _min_separation(roots: np.ndarray) -> float:
@@ -250,47 +277,30 @@ def _min_separation(roots: np.ndarray) -> float:
     return float(dist.min())
 
 
-def _polish(coeffs: np.ndarray, guesses: np.ndarray, tol_root: float):
-    """Newton iteration from every guess at once.
-
-    A root stops once ``|p(z)| <= tol_root * residual_scale(z)``, when
-    p'(z) = 0, or when its step is not finite; the rest go on for at most
-    ``_NEWTON_MAX_ITER`` steps.  Returns, per root, the iterate with the
-    smallest residual seen, that residual and the residual scale there.
-    """
-    desc = coeffs[::-1]
-    ddesc = np.polyder(desc)
+def _polish(basis, guesses: np.ndarray, tol_root: float):
+    """Newton iteration from every guess at once, on the relative residual
+    and step of :func:`_evaluate`.  A root stops once its residual is at most
+    ``tol_root`` or its step is not finite (p'(z) = 0, say); the rest go on
+    for at most ``_NEWTON_MAX_ITER`` steps.  Returns, per root, the iterate
+    with the smallest residual seen and that residual."""
     z = np.array(guesses, dtype=np.complex128)
     best_z = z.copy()
     best_res = np.full(len(z), np.inf)
-    # stays 0 only for a root whose residual was never finite, which then
-    # misses every bound
-    best_scale = np.zeros(len(z))
     active = np.arange(len(z))
     for it in range(_NEWTON_MAX_ITER + 1):
         za = z[active]
-        pv = np.polyval(desc, za)
-        res = np.abs(pv)
-        scale = residual_scale(coeffs, za)
+        res, step = _evaluate(basis, za)
         better = res < best_res[active]
         idx = active[better]
-        best_z[idx], best_res[idx], best_scale[idx] = za[better], res[better], scale[better]
+        best_z[idx], best_res[idx] = za[better], res[better]
         if it == _NEWTON_MAX_ITER:
             break
-        # p' only where a step is still needed
-        need = ~(res <= tol_root * scale)
-        active, za = active[need], za[need]
-        if not active.size:
-            break
-        dv = np.polyval(ddesc, za)
-        with np.errstate(all="ignore"):
-            step = pv[need] / dv
-        go = (dv != 0) & np.isfinite(step)
+        go = ~(res <= tol_root) & np.isfinite(step)
         active = active[go]
         if not active.size:
             break
         z[active] = za[go] - step[go]
-    return best_z, best_res, best_scale
+    return best_z, best_res
 
 
 @dataclass(frozen=True, eq=False)

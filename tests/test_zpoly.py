@@ -24,6 +24,7 @@ from zerosheet.zpoly import (
     _NEWTON_MAX_ITER,
     ROOT_TOL,
     BivariatePoly,
+    _coeff_rows,
     _min_separation,
     _polish,
     residual_scale,
@@ -155,13 +156,19 @@ class TestFindRoots:
             # and the recorded residual must sit below the bound
             bound = ROOT_TOL * residual_scale(p.coeffs, root)
             assert abs(np.polyval(p.coeffs[::-1], root)) <= bound
-            assert res <= bound
+            assert res <= ROOT_TOL
 
     def test_multiple_root_with_multiplicity(self):
         # (v - 1)^2 (v + 2) = v^3 - 3v + 2
         roots, _ = find_roots(UniPoly([2.0, -3.0, 0.0, 1.0]))
         assert len(roots) == 3
         assert sorted(np.round(roots.real, 4).tolist()) == [-2.0, 1.0, 1.0]
+
+    def test_root_at_zero(self):
+        # a_0 = 0 makes the residual scale 0 at the exact root z = 0, where
+        # p(0) = 0 too; the relative residual there is 0, not 0/0
+        roots, residuals = find_roots(UniPoly([0.0, -1.0, 1.0]))
+        assert roots.tolist() == [0.0, 1.0] and residuals.tolist() == [0.0, 0.0]
 
     def test_cluster_flag(self):
         g = np.array([0.5, 0.5 + 1e-8, -1.0])
@@ -238,23 +245,35 @@ def horner_pair(coeffs, z):
     return complex(b), complex(db)
 
 
+def relative_step(coeffs, z):
+    """Reference oracle: relative residual |p(z)| / sum_y |a_y| |z|^y and
+    Newton step p(z) / p'(z) by scalar Horner, on the reversed polynomial
+    r(w) = sum_y a_{d-y} w^y at w = 1/z outside the unit circle.  The step
+    is None where its denominator vanishes."""
+    if abs(z) <= 1:
+        pv, dv = horner_pair(coeffs, z)
+        return abs(pv) / residual_scale(coeffs, z), (pv / dv if dv else None)
+    w, rev = 1 / z, coeffs[::-1]
+    rv, drv = horner_pair(rev, w)
+    denom = (len(coeffs) - 1) * rv - w * drv
+    return abs(rv) / residual_scale(rev, w), (z * rv / denom if denom else None)
+
+
 def newton_polish(coeffs, z, tol_rel):
-    """Reference oracle: the scalar Newton polish of one root, as find_roots
-    ran it root by root before it polished all roots together.  Returns the
-    best iterate, its residual and the number of steps taken."""
+    """Reference oracle: the scalar Newton polish of one root, root by root.
+    Returns the best iterate, its relative residual and the number of steps
+    taken."""
     best_z, best_res = z, float("inf")
     for steps in range(_NEWTON_MAX_ITER):
-        pv, dv = horner_pair(coeffs, z)
-        res = abs(pv)
+        res, step = relative_step(coeffs, z)
         if res < best_res:
             best_z, best_res = z, res
-        if res <= tol_rel * residual_scale(coeffs, z) or dv == 0:
+        if res <= tol_rel or step is None:
             return best_z, best_res, steps
-        step = pv / dv
         if not (np.isfinite(step.real) and np.isfinite(step.imag)):
             return best_z, best_res, steps
         z = z - step
-    res = abs(horner_pair(coeffs, z)[0])
+    res = relative_step(coeffs, z)[0]
     if res < best_res:
         best_z, best_res = z, res
     return best_z, best_res, _NEWTON_MAX_ITER
@@ -281,6 +300,13 @@ def perturbed_polynomials(draw):
     return elementary_symmetric_coeffs(roots), guesses
 
 
+def dim_row_transform(dim):
+    """Transform of synth_image(128, 128, 12) with its bottom row scaled by dim."""
+    pixels = synth_image(128, 128, 12).pixels.copy()
+    pixels[-1] *= dim
+    return ztransform(Image(pixels))
+
+
 class TestPolish:
     def test_matches_scalar_oracle(self):
         stepped = []
@@ -289,13 +315,17 @@ class TestPolish:
         @given(perturbed_polynomials())
         def check(drawn):
             coeffs, guesses = drawn
-            roots, residuals, scales = _polish(coeffs, guesses, ROOT_TOL)
-            assert np.array_equal(scales, residual_scale(coeffs, roots))
+            roots, residuals = _polish(_coeff_rows(coeffs), guesses, ROOT_TOL)
             degree = len(coeffs) - 1
-            for z0, z, res, scale in zip(guesses, roots, residuals, scales):
+            for z0, z, res in zip(guesses, roots, residuals):
+                # a sum of degree + 1 products rounds by at most about
+                # degree * eps of the scale, in the matrix products as in
+                # Horner, so the two relative residuals at one point agree
+                # to that
+                assert abs(res - relative_step(coeffs, complex(z))[0]) <= 2 * degree * EPS
                 ref_z, ref_res, steps = newton_polish(coeffs, complex(z0), ROOT_TOL)
                 ref_scale = residual_scale(coeffs, ref_z)
-                assert (res <= ROOT_TOL * scale) == (ref_res <= ROOT_TOL * ref_scale)
+                assert (res <= ROOT_TOL) == (ref_res <= ROOT_TOL)
                 # numpy's vector complex arithmetic may round differently
                 # from the scalar oracle (fused multiply-add); a Horner
                 # rounding error of degree * eps * scale in p(z) moves a
@@ -310,35 +340,47 @@ class TestPolish:
 
     def test_keeps_best_iterate_of_a_newton_cycle(self):
         # Newton on z^3 - 2z + 2 cycles 0 -> 1 -> 0 exactly; z = 1 has the
-        # smaller residual, and the last iterate (z = 0) must not win
+        # smaller relative residual (1/5 against 2/2), and the last iterate
+        # (z = 0) must not win
         coeffs = np.array([2.0, -2.0, 0.0, 1.0], dtype=complex)
-        roots, residuals, _ = _polish(coeffs, np.array([0j]), ROOT_TOL)
-        assert (roots[0], residuals[0]) == (1.0, 1.0)
-        assert newton_polish(coeffs, 0j, ROOT_TOL) == (1.0, 1.0, _NEWTON_MAX_ITER)
+        roots, residuals = _polish(_coeff_rows(coeffs), np.array([0j]), ROOT_TOL)
+        assert (roots[0], residuals[0]) == (1.0, 0.2)
+        assert newton_polish(coeffs, 0j, ROOT_TOL) == (1.0, 0.2, _NEWTON_MAX_ITER)
 
     def test_reaches_roots_whose_powers_overflow(self):
         # a dim bottom row shrinks the leading slice coefficient, so the
-        # largest root (modulus ~304) has |z|^127 above the float range
-        # (1e308^(1/127) ~ 266); Horner never forms that power, and the
-        # roots are still accurate
-        pixels = synth_image(128, 128, 12).pixels.copy()
-        pixels[-1] *= 2.5e-3
-        P = ztransform(Image(pixels))
-        u = unit_point(0.3)
-        rs = slice_roots(P, u)
-        coeffs = slice_in_v(P, u).coeffs
-        assert rs.count == 127
-        assert np.abs(rs.roots).max() > 1e308 ** (1 / 127)
-        inside = np.abs(rs.roots) <= 1.0
-        scale = residual_scale(coeffs, rs.roots[inside])
-        assert np.all(rs.residuals[inside] <= ROOT_TOL * scale)
-        # residual_scale overflows to inf outside the circle, where any
-        # residual meets its bound; there |p(z)| / sum_y |a_y| |z|^y equals
-        # the reversed polynomial's relative residual at w = 1/z, which
-        # forms no power above 1
-        w = 1.0 / rs.roots[~inside]
-        relative = np.abs(np.polyval(coeffs, w)) / np.polyval(np.abs(coeffs), np.abs(w))
-        assert np.all(relative <= ROOT_TOL)
+        # largest roots have |z|^127 above the float range (1e308^(1/127)
+        # ~ 266); the solver never forms such a power, and the roots are
+        # still accurate
+        for dim in (2.5e-3, 1e-6):
+            P, u = dim_row_transform(dim), unit_point(0.3)
+            rs = slice_roots(P, u)
+            coeffs = slice_in_v(P, u).coeffs
+            assert rs.count == 127
+            assert np.abs(rs.roots).max() > 1e308 ** (1 / 127)
+            assert np.all(rs.residuals <= ROOT_TOL)
+            # independent check by the scalar oracle, which also evaluates
+            # the reversed polynomial at 1/z outside the unit circle
+            assert all(relative_step(coeffs, complex(z))[0] <= ROOT_TOL for z in rs.roots)
+
+    def test_rejects_a_moved_root_of_any_modulus(self, monkeypatch):
+        # the exact roots of the 2.5e-3 slice pass one evaluation, but any one
+        # root outside the unit circle moved by 1e-6 relative must miss the
+        # bound, the largest (|z| ~ 304, where sum_y |a_y| |z|^y overflows)
+        # included
+        P, u = dim_row_transform(2.5e-3), unit_point(0.3)
+        p, roots = slice_in_v(P, u), slice_roots(P, u).roots
+        monkeypatch.setattr(zerosheet.zpoly, "_NEWTON_MAX_ITER", 0)
+        monkeypatch.setattr(np, "roots", lambda c: roots)
+        find_roots(p)
+        outside = np.flatnonzero(np.abs(roots) > 1)
+        assert np.abs(roots[outside]).max() > 300
+        for k in outside:
+            moved = roots.copy()
+            moved[k] *= 1 + 1e-6
+            monkeypatch.setattr(np, "roots", lambda c: moved)
+            with pytest.raises(RootFindingError):
+                find_roots(p)
 
     def test_unmet_bound_raises(self, monkeypatch):
         monkeypatch.setattr(zerosheet.zpoly, "ROOT_TOL", 1e-30)
