@@ -37,7 +37,7 @@ from .image import (
     synth_blur,
     synth_image,
 )
-from .restore import pipeline
+from .restore import _stage_axis, pipeline
 from .search import Axis, SearchConfig, search_image
 from .zpoly import ZeroPolynomialError, slice_roots, unit_point, ztransform
 
@@ -142,7 +142,8 @@ def _config_echo(opts: dict) -> dict:
 
 def _build_config(opts: dict, m: int, n: int) -> SearchConfig:
     echo = _config_echo(opts)
-    return SearchConfig(blur_m=m, blur_n=n, **{**echo, "axis": Axis(echo["axis"])})
+    axis = _stage_axis(m, n, Axis(echo["axis"]))
+    return SearchConfig(blur_m=m, blur_n=n, **{**echo, "axis": axis})
 
 
 def _out_dir(ns) -> Path:

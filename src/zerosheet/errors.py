@@ -60,7 +60,7 @@ class AxisError(ZeroSheetError):
 
 
 class SamplingError(ZeroSheetError):
-    """Could not assemble the required number of non-degenerate sample points."""
+    """Could not assemble the required number of usable sample points."""
 
 
 class LinearAlgebraError(ZeroSheetError):

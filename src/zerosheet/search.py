@@ -21,17 +21,18 @@ matches unambiguously at every step and no two of them end on the same
 root.  Only combinations of roots that passed on their own are walked; each
 one's lexicographic rank among all combinations keeps the report's counts
 and the ``max_combinations`` cap as if every combination had been visited.
-A combination that does not track is tried again on finer chains, each
-halving the phase step of the one before.  The levels are solved on demand,
-one at a time: level L's midpoints are solved only when the search reaches
-it, all roots are tracked once there, and the combinations that track there
-for the first time are rank-tested.  The search stops after the first level
-at which a candidate is accepted, so a kernel found at the sample points
-costs no midpoint at all.  Every level is a strided view of one chain at
-the finest step.  Eigenvalue root finding runs only at the sample points:
-each midpoint starts from the roots of its coarser neighbour one sub-step
-away, so the rank test's inputs are the same as with a cold solve
-everywhere.
+The sample points, with an empty slot wherever a point had to be
+replaced, are level 0 of the tracking chain.  A combination that does not
+track is tried again on finer chains: level L interleaves the chain of
+level L - 1 with the midpoints between its entries, halving the phase step.
+The levels are built on demand, one at a time: level L's midpoints are
+solved only when the search reaches it, all roots are tracked once there,
+and the combinations that track there for the first time are rank-tested.
+The search stops after the first level at which a candidate is accepted,
+so a kernel found at the sample points costs no midpoint at all.
+Eigenvalue root finding runs only at the sample slots: each midpoint starts
+from the roots of its coarser neighbour one sub-step away, so the rank
+test's inputs are the same as with a cold solve everywhere.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .zpoly import (
     RootSlice,
     _powers,
     elementary_symmetric_coeffs,
-    slice_in_v,
     slice_roots,
     unit_point,
     ztransform,
@@ -209,47 +209,52 @@ def compute_q(m: int, n: int) -> int:
     return -(-m * n // (n - 1))
 
 
-def choose_sample_points(q: int, cfg: SearchConfig, P: BivariatePoly) -> list[SamplePoint]:
-    """Pick q non-degenerate unit-circle points near the base phase.
+def _solve(P: BivariatePoly, u: complex, guesses=None) -> RootSlice | None:
+    """The slice roots at u, or None when the slice is the zero polynomial
+    or its roots cannot be polished."""
+    try:
+        return slice_roots(P, u, guesses=guesses)
+    except (ZeroPolynomialError, RootFindingError):
+        return None
 
-    Point j starts at phase ``base_phase + (j-1) * phase_step``; a point
-    whose slice is the zero polynomial, or whose effective degree differs
-    from the base point's, is replaced by advancing one extra step, at most
-    eight times.  All returned points are pairwise distinct by construction.
+
+def choose_sample_points(
+    q: int, cfg: SearchConfig, P: BivariatePoly
+) -> tuple[list[SamplePoint], list[RootSlice | None]]:
+    """Pick q usable unit-circle points near the base phase.
+
+    Slot s lies at phase ``base_phase + s * phase_step`` and is solved
+    cold.  A slot is usable when its slice roots solve and their count
+    equals that of the first slot that solved; each point takes the next
+    usable slot, after at most eight unusable ones.  Returns the points and
+    the level-0 tracking chain: the slice of every slot up to the last
+    point, None where a slot was unusable.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     points: list[SamplePoint] = []
-    base_degree: int | None = None
-    slot = 0
+    chain: list[RootSlice | None] = []
+    n_prime: int | None = None
     for j in range(1, q + 1):
-        placed = False
         for _ in range(_MAX_REPLACEMENTS + 1):
-            phase = cfg.base_phase + slot * cfg.phase_step
-            slot += 1
+            phase = cfg.base_phase + len(chain) * cfg.phase_step
             u = unit_point(phase)
-            try:
-                sliced = slice_in_v(P, u)
-            except ZeroPolynomialError:
-                log.debug("sample point %d at phase %.6f degenerate (zero slice)", j, phase)
+            rs = _solve(P, u)
+            if rs is not None and n_prime is None:
+                n_prime = rs.count
+            if rs is None or rs.count != n_prime:
+                log.debug("sample point %d at phase %.6f unusable", j, phase)
+                chain.append(None)
                 continue
-            if base_degree is None:
-                base_degree = sliced.effective_degree
-            elif sliced.effective_degree != base_degree:
-                log.debug(
-                    "sample point %d at phase %.6f dropped degree %d (base %d)",
-                    j, phase, sliced.effective_degree, base_degree,
-                )
-                continue
+            chain.append(rs)
             points.append(SamplePoint(value=u, phase=phase))
-            placed = True
             break
-        if not placed:
+        else:
             raise SamplingError(
-                f"no non-degenerate sample point found for index {j} "
+                f"no usable sample point found for index {j} "
                 f"after {_MAX_REPLACEMENTS} replacements"
             )
-    return points
+    return points, chain
 
 
 def _match(
@@ -418,37 +423,33 @@ def _track_chain(
     return np.array(at_anchors), ok
 
 
-def _solve_level(
+def _refine(
     P: BivariatePoly,
     cfg: SearchConfig,
     chain: list[RootSlice | None],
-    anchors: list[int],
+    first: int,
     level: int,
-) -> None:
-    """Solve the midpoints of halving level ``level`` into the finest chain.
+) -> list[RootSlice | None]:
+    """The chain of halving level ``level``, built from that of level - 1.
 
-    The chain holds 2**_MAX_HALVINGS entries per phase step, entry s at
-    phase ``base_phase + s * (phase_step / 2**_MAX_HALVINGS)``, so
-    ``chain[::2**(_MAX_HALVINGS - L)]`` is the chain of halving level L;
-    sample point j sits at entry ``2**_MAX_HALVINGS * anchors[j]``.  Called
-    for levels 1, 2, ... in turn, so each midpoint is warm-started from the
-    roots of the coarser slice one sub-step before it (or after it, when
-    that slot is empty).  Degenerate midpoints and midpoints that change
-    the root count stay empty.
+    Entry s of the result lies at phase ``base_phase + s * (phase_step /
+    2**level)``.  Its even entries are the coarser ``chain``; each odd entry
+    after the first sample point (entry ``first`` of ``chain``) is a
+    midpoint, warm-started from the roots of the entry before it, or of the
+    entry after it when that one is empty.  Midpoints that are not usable
+    (see :func:`choose_sample_points`) stay empty.
     """
-    scale = 2**_MAX_HALVINGS
-    n_prime = chain[scale * anchors[0]].count
-    sub = scale >> level
-    for s in range(scale * anchors[0] + sub, scale * anchors[-1], 2 * sub):
-        u = unit_point(cfg.base_phase + s * (cfg.phase_step / scale))
-        neighbour = chain[s - sub] if chain[s - sub] is not None else chain[s + sub]
+    n_prime = chain[first].count
+    finer: list[RootSlice | None] = [None] * (2 * len(chain) - 1)
+    finer[::2] = chain
+    sub = cfg.phase_step / 2**level
+    for s in range(2 * first + 1, len(finer), 2):
+        neighbour = finer[s - 1] if finer[s - 1] is not None else finer[s + 1]
         guesses = None if neighbour is None else neighbour.roots
-        try:
-            rs = slice_roots(P, u, guesses=guesses)
-        except (ZeroPolynomialError, RootFindingError):
-            continue
-        if rs.count == n_prime:
-            chain[s] = rs
+        rs = _solve(P, unit_point(cfg.base_phase + s * sub), guesses)
+        if rs is not None and rs.count == n_prime:
+            finer[s] = rs
+    return finer
 
 
 def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
@@ -478,12 +479,16 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     m, n = cfg.blur_m, cfg.blur_n
     q = compute_q(m, n)
     try:
-        points = choose_sample_points(q, cfg, P)
+        points, chain = choose_sample_points(q, cfg, P)
     except SamplingError as exc:
         log.info("sampling failed: %s", exc)
         return SearchReport(m, n, q, cfg.axis, sampling_failed=True)
     phases = tuple(pt.phase for pt in points)
-    slices = [slice_roots(P, pt.value) for pt in points]
+    # Level 0 steps from slot to slot, level L in steps of phase_step / 2**L;
+    # the sample points are the non-empty slots, at entries that double with
+    # each level.
+    anchors = [s for s, rs in enumerate(chain) if rs is not None]
+    slices = [chain[a] for a in anchors]
     n_prime = slices[0].count
     k = n - 1
     if n_prime < k:
@@ -491,23 +496,14 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     total = math.comb(n_prime, k)
     evaluated = min(total, cfg.max_combinations)
 
-    # Level 0 steps from sample point to sample point, level L in steps of
-    # phase_step / 2**L; every level is a strided view of the finest chain,
-    # in which the slots of replaced sample points stay empty.
-    anchors = [round((pt.phase - cfg.base_phase) / cfg.phase_step) for pt in points]
-    scale = 2**_MAX_HALVINGS
-    chain: list[RootSlice | None] = [None] * (scale * anchors[-1] + 1)
-    for a, rs in zip(anchors, slices):
-        chain[scale * a] = rs
     # Candidates by lexicographic index; a combination is rank-tested at the
     # first level where it tracks and never again.
     found: dict[int, BlurCandidate] = {}
     for level in range(_MAX_HALVINGS + 1):
         if level:
-            _solve_level(P, cfg, chain, anchors, level)
-        at_anchors, ok = _track_chain(
-            [a << level for a in anchors], chain[:: scale >> level], cfg.tol_track_ratio
-        )
+            chain = _refine(P, cfg, chain, anchors[0], level)
+            anchors = [2 * a for a in anchors]
+        at_anchors, ok = _track_chain(anchors, chain, cfg.tol_track_ratio)
         accepted = False
         for combo in itertools.combinations(np.flatnonzero(ok).tolist(), k):
             i = _lex_rank(combo, n_prime)

@@ -139,7 +139,9 @@ def slice_in_v(P: BivariatePoly, u: complex) -> UniPoly:
 def residual_scale(coeffs: np.ndarray, z):
     """Evaluation magnitude ``sum_y |a_y| |z|^y``, the smallest scale at which
     a Horner residual at z is meaningful in double precision.  z may be a
-    scalar or an array of points."""
+    scalar or an array of points.  The solvers do not use it (they take the
+    relative residual from :func:`_evaluate`); it is the reference scale
+    against which tests check roots by plain Horner evaluation."""
     r, scale = np.abs(z), 0.0
     for m in np.abs(coeffs)[::-1]:
         scale = scale * r + m

@@ -263,6 +263,24 @@ class TestPipeline:
         assert len(rep["per_stage"]) == 2
         assert rep["per_stage"][1]["accepted_combination"] is None
 
+    @pytest.mark.parametrize("axis", ["v", "u"])
+    def test_axis_per_stage(self, tmp_path, axis):
+        # a 1 x n stage searches along v and an m x 1 stage along u,
+        # whichever axis is configured
+        main(synth_args(tmp_path / "d", sizes="1x3,3x1", width=20, height=20, seed=7))
+        out = tmp_path / "r"
+        rc = main(["pipeline", "--input", str(tmp_path / "d" / "convolved.csv"),
+                   "--sizes", "1x3,3x1", "--phase-step", "0.32", "--axis", axis,
+                   "--output", str(out)])
+        assert rc == EXIT_OK
+        rep = read_report(out / "report.json")
+        assert rep["config_echo"]["axis"] == axis
+        assert [s["axis"] for s in rep["per_stage"]] == ["v", "u"]
+        for i in (1, 2):
+            truth = load_matrix_csv(tmp_path / "d" / f"blur_{i}.csv")
+            found = load_matrix_csv(out / f"blur_{i}.csv")
+            assert np.abs(found - truth / truth.sum()).max() <= 1e-12
+
     def test_failure_at_first_stage_is_no_blur_found(self, tmp_path):
         main(["synth", "--output", str(tmp_path / "d"), "--width", "12", "--height", "12",
               "--seed", "31"])

@@ -339,8 +339,8 @@ class TestPipeline:
         assert np.max(np.abs(a - b)) <= 1e-6
 
     def test_bad_later_size_rejected_before_any_search(self, monkeypatch):
-        # a 3 x 1 blur has no roots in v, so stage 2 cannot be configured;
-        # that must stop the pipeline before stage 1 searches
+        # a 1 x 1 blur has no roots in u or in v, so stage 2 cannot be
+        # configured; that must stop the pipeline before stage 1 searches
         searched = []
         search_image_ = zerosheet.restore.search_image
 
@@ -351,7 +351,7 @@ class TestPipeline:
         monkeypatch.setattr(zerosheet.restore, "search_image", recording)
         f, h, g = exact_model(seed=6, fw=12, fh=12, m=2, n=2)
         with pytest.raises(AxisError):
-            pipeline(g, [(2, 2), (3, 1)], SearchConfig(blur_m=2, blur_n=2))
+            pipeline(g, [(2, 2), (1, 1)], SearchConfig(blur_m=2, blur_n=2))
         assert searched == []
 
     def test_empty_sizes_rejected(self):
