@@ -30,9 +30,12 @@ solved only when the search reaches it, all roots are tracked once there,
 and the combinations that track there for the first time are rank-tested.
 The search stops after the first level at which a candidate is accepted,
 so a kernel found at the sample points costs no midpoint at all.
-Eigenvalue root finding runs only at the sample slots: each midpoint starts
-from the roots of its coarser neighbour one sub-step away, so the rank
-test's inputs are the same as with a cold solve everywhere.
+Only the first sample slot is solved cold (Aberth from Newton-polygon
+guesses, see :func:`zerosheet.zpoly.find_roots`): every later slot starts
+from the roots of the last usable slot, and each midpoint from those of its
+coarser neighbour one sub-step away.  Every solve polishes to the same
+residual bound, so the rank test's inputs are those of a cold solve
+everywhere, up to round-off.
 """
 
 from __future__ import annotations
@@ -223,23 +226,26 @@ def choose_sample_points(
 ) -> tuple[list[SamplePoint], list[RootSlice | None]]:
     """Pick q usable unit-circle points near the base phase.
 
-    Slot s lies at phase ``base_phase + s * phase_step`` and is solved
-    cold.  A slot is usable when its slice roots solve and their count
-    equals that of the first slot that solved; each point takes the next
-    usable slot, after at most eight unusable ones.  Returns the points and
-    the level-0 tracking chain: the slice of every slot up to the last
-    point, None where a slot was unusable.
+    Slot s lies at phase ``base_phase + s * phase_step``.  The first slot
+    is solved cold, every later one warm from the roots of the last usable
+    slot (see :func:`zerosheet.zpoly.find_roots`).  A slot is usable when
+    its slice roots solve and their count equals that of the first slot
+    that solved; each point takes the next usable slot, after at most eight
+    unusable ones.  Returns the points and the level-0 tracking chain: the
+    slice of every slot up to the last point, None where a slot was
+    unusable.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     points: list[SamplePoint] = []
     chain: list[RootSlice | None] = []
     n_prime: int | None = None
+    guesses = None
     for j in range(1, q + 1):
         for _ in range(_MAX_REPLACEMENTS + 1):
             phase = cfg.base_phase + len(chain) * cfg.phase_step
             u = unit_point(phase)
-            rs = _solve(P, u)
+            rs = _solve(P, u, guesses)
             if rs is not None and n_prime is None:
                 n_prime = rs.count
             if rs is None or rs.count != n_prime:
@@ -247,6 +253,7 @@ def choose_sample_points(
                 chain.append(None)
                 continue
             chain.append(rs)
+            guesses = rs.roots
             points.append(SamplePoint(value=u, phase=phase))
             break
         else:

@@ -563,8 +563,9 @@ class TestSearchBlur:
     def test_eigen_solves_only_at_sample_points(self, monkeypatch):
         # no candidate meets this tol_null, so the search refines through
         # all four halving levels: 4 sample points plus 3 + 6 + 12 + 24
-        # midpoints, each solved once, and only the sample points by
-        # companion-matrix eigenvalues
+        # midpoints, each solved once, and none by companion-matrix
+        # eigenvalues: the first sample point starts from Newton-polygon
+        # guesses, every other slice from the roots of a neighbour
         img = convolve(synth_image(64, 64, 5), synth_blur(2, 2, 6))
         eigen = []
         real_roots = np.roots
@@ -577,8 +578,32 @@ class TestSearchBlur:
         solved = self.record_solves(monkeypatch)
         rep = search_image(img, SearchConfig(blur_m=2, blur_n=2, phase_step=0.1, tol_null=1e-300))
         assert rep.best is None and rep.tracking_failures > 0
-        assert len(eigen) == rep.q == 4
+        assert eigen == [] and rep.q == 4
         assert len(solved) == 49
+
+    def test_large_route_solves_without_eigenvalues(self, monkeypatch):
+        # the 2x2 deblur of a 128x128 image at step 0.32 finds its kernel at
+        # the sample points; the first slot is solved cold, every later one
+        # from the roots of the slot before it, and none by eigenvalues
+        blur = synth_blur(2, 2, 1012)
+        img = convolve(synth_image(128, 128, 12), blur)
+        calls = []
+        slice_roots_ = zerosheet.search.slice_roots
+
+        def recording(P, u, guesses=None):
+            calls.append(guesses)
+            return slice_roots_(P, u, guesses=guesses)
+
+        monkeypatch.setattr(zerosheet.search, "slice_roots", recording)
+        eigen = []
+        real_roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: eigen.append(len(c)) or real_roots(c))
+        rep = search_image(img, SearchConfig(blur_m=2, blur_n=2, phase_step=0.32))
+        assert rep.best is not None
+        assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(blur)))) <= 1e-9
+        assert eigen == []
+        assert len(calls) == rep.q == 4
+        assert calls[0] is None and all(g is not None for g in calls[1:])
 
     def test_accept_at_sample_points_solves_no_midpoint(self, monkeypatch):
         solved = self.record_solves(monkeypatch)

@@ -177,6 +177,17 @@ class TestFindRoots:
         rs = slice_roots(img_like, 0.7)
         assert rs.clustered
 
+    def test_roots_spread_over_a_wide_modulus_range(self):
+        # 300 polynomials of degree 60-128 whose roots are log-uniform in
+        # modulus from 0.01 to 50: every one solves within the bound
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            d = int(rng.integers(60, 129))
+            modulus = np.exp(rng.uniform(np.log(0.01), np.log(50), d))
+            roots = modulus * np.exp(2j * np.pi * rng.uniform(size=d))
+            found, residuals = find_roots(UniPoly(elementary_symmetric_coeffs(roots)))
+            assert len(found) == d and np.all(residuals <= ROOT_TOL)
+
     def test_degree_zero_slice_has_no_roots(self):
         # a one-row image has degree 0 in v at every u
         P = ztransform(Image([[1.0, 2.0, 3.0, 4.0]]))
@@ -218,7 +229,7 @@ class TestWarmStart:
         assert np.all(np.abs(warm - cold) <= 1e-9 * np.abs(cold))
 
     @pytest.mark.parametrize("kind", ["short", "long", "all_equal", "nan", "duplicated_pair"])
-    def test_bad_guesses_fall_back_to_eigenvalues(self, kind):
+    def test_bad_guesses_fall_back_to_the_cold_solve(self, kind):
         p = UniPoly(elementary_symmetric_coeffs(separated_roots(5, 8)))
         cold, _ = find_roots(p)
         guesses = {
@@ -231,8 +242,20 @@ class TestWarmStart:
         patch, eigen = count_eigen_solves()
         with patch:
             warm, _ = find_roots(p, guesses=guesses)
-        assert eigen == [9]
+        # the cold solve starts from the Newton-polygon guesses and needs no
+        # eigenvalues; bad guesses lead to exactly that solve
+        assert eigen == []
         assert np.array_equal(warm, cold)
+
+    def test_double_root_clustered_cold_and_warm(self):
+        # the halves of a double root may split by up to about sqrt(ROOT_TOL)
+        # and still meet the bound, so the flag holds whichever start the
+        # solve took: the Newton-polygon start splits this pair by 1.0e-5
+        g = np.array([0.5, 0.5, -1.0])
+        P = BivariatePoly(elementary_symmetric_coeffs(g).reshape(1, -1))
+        moved = g * (1 + 1e-3 * np.exp(2j * np.pi * np.arange(3) / 3))
+        assert slice_roots(P, 0.7).clustered
+        assert slice_roots(P, 0.7, guesses=moved).clustered
 
 
 def horner_pair(coeffs, z):
@@ -367,18 +390,18 @@ class TestPolish:
         # the exact roots of the 2.5e-3 slice pass one evaluation, but any one
         # root outside the unit circle moved by 1e-6 relative must miss the
         # bound, the largest (|z| ~ 304, where sum_y |a_y| |z|^y overflows)
-        # included
+        # included; the start is injected in place of the Aberth run
         P, u = dim_row_transform(2.5e-3), unit_point(0.3)
         p, roots = slice_in_v(P, u), slice_roots(P, u).roots
         monkeypatch.setattr(zerosheet.zpoly, "_NEWTON_MAX_ITER", 0)
-        monkeypatch.setattr(np, "roots", lambda c: roots)
+        monkeypatch.setattr(zerosheet.zpoly, "_aberth", lambda basis, guesses, tol: roots)
         find_roots(p)
         outside = np.flatnonzero(np.abs(roots) > 1)
         assert np.abs(roots[outside]).max() > 300
         for k in outside:
             moved = roots.copy()
             moved[k] *= 1 + 1e-6
-            monkeypatch.setattr(np, "roots", lambda c: moved)
+            monkeypatch.setattr(zerosheet.zpoly, "_aberth", lambda basis, guesses, tol: moved)
             with pytest.raises(RootFindingError):
                 find_roots(p)
 
