@@ -37,8 +37,8 @@ from .image import (
     synth_blur,
     synth_image,
 )
-from .restore import _stage_axis, pipeline
-from .search import Axis, SearchConfig, search_image
+from .restore import pipeline
+from .search import SearchConfig, search_image
 from .zpoly import ZeroPolynomialError, slice_roots, unit_point, ztransform
 
 EXIT_OK = 0
@@ -52,11 +52,11 @@ _LOG_HANDLER = "zerosheet.stderr"
 # The numbered files a pipeline writes for stage i (group 1 or 2).
 _STAGE_FILE = re.compile(r"blur_([1-9][0-9]*)\.csv|restored_([1-9][0-9]*)\.(?:csv|pgm)")
 
-# The search knobs and their defaults come from SearchConfig (axis as its
-# letter); the other keys belong to the CLI.  A key's default also fixes the
-# type its config-file value is parsed as.
+# The search knobs and their defaults come from SearchConfig; the other keys
+# belong to the CLI.  A key's default also fixes the type its config-file
+# value is parsed as.
 _SEARCH_DEFAULTS: dict[str, object] = {
-    f.name: f.default.value if isinstance(f.default, Axis) else f.default
+    f.name: f.default
     for f in dataclasses.fields(SearchConfig)
     if f.default is not dataclasses.MISSING
 }
@@ -135,15 +135,11 @@ def _resolve(ns: argparse.Namespace) -> dict[str, object]:
 
 
 def _config_echo(opts: dict) -> dict:
-    echo = {key: type(default)(opts[key]) for key, default in _SEARCH_DEFAULTS.items()}
-    echo["axis"] = echo["axis"].lower()
-    return echo
+    return {key: type(default)(opts[key]) for key, default in _SEARCH_DEFAULTS.items()}
 
 
 def _build_config(opts: dict, m: int, n: int) -> SearchConfig:
-    echo = _config_echo(opts)
-    axis = _stage_axis(m, n, Axis(echo["axis"]))
-    return SearchConfig(blur_m=m, blur_n=n, **{**echo, "axis": axis})
+    return SearchConfig(blur_m=m, blur_n=n, **_config_echo(opts))
 
 
 def _out_dir(ns) -> Path:
@@ -379,7 +375,6 @@ def _add_common(p: argparse.ArgumentParser, with_search_opts: bool = True) -> No
         p.add_argument("--tol-real", dest="tol_real", type=float)
         p.add_argument("--tol-track-ratio", dest="tol_track_ratio", type=float)
         p.add_argument("--max-combinations", dest="max_combinations", type=int)
-        p.add_argument("--axis", choices=["u", "v"])
         p.add_argument("--early-stop", dest="early_stop", action="store_const", const=True)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateBlurError, DivisionUnstableError, NoBlurFoundError
 from .image import Image, convolve, image_from_matrix
-from .search import Axis, BlurCandidate, SearchConfig, SearchReport, search_image
+from .search import BlurCandidate, SearchConfig, SearchReport, search_image
 
 __all__ = [
     "RestoreMethod",
@@ -215,10 +215,10 @@ def remove_blur(
 ) -> tuple[BlurCandidate, RestorationResult, SearchReport]:
     """Search for one blur of the configured size and undo it.
 
-    A one-stage :func:`pipeline`.  Handles axis=U by searching the
-    transposed image (the returned candidate is already back in the
-    caller's orientation).  Raises :class:`NoBlurFoundError`, carrying the
-    search report, when no candidate is accepted.
+    A one-stage :func:`pipeline`.  The returned candidate is in the
+    caller's orientation whichever axis :func:`search_image` scanned.
+    Raises :class:`NoBlurFoundError`, carrying the search report, when no
+    candidate is accepted.
     """
     result = pipeline(g, [(cfg.blur_m, cfg.blur_n)], cfg)
     if not result.ok:
@@ -266,29 +266,16 @@ class PipelineResult:
         return self.stages[-1].restoration.image if self.stages else None
 
 
-def _stage_axis(m: int, n: int, axis: Axis) -> Axis:
-    """The axis an m x n stage searches: an m x 1 blur has roots only in u
-    and a 1 x n blur only in v; any other size keeps the configured axis."""
-    if n == 1:
-        return Axis.U
-    if m == 1:
-        return Axis.V
-    return axis
-
-
 def pipeline(g: Image, sizes, cfg: SearchConfig) -> PipelineResult:
     """Remove several blurs in the given (m, n) order, feeding each result on.
 
-    Each stage searches for one blur and restores it away, along the axis
-    that :func:`_stage_axis` picks for its size.  Stops at the first stage
-    that finds no blur and returns the stages completed so far together
-    with the failing stage's index and search report.  Every stage's
-    configuration is checked before the first search runs.
+    Each stage searches for one blur with :func:`search_image`, which
+    picks the axis from the blur's size, and restores it away.  Stops at
+    the first stage that finds no blur and returns the stages completed so
+    far together with the failing stage's index and search report.  Every
+    stage's configuration is checked before the first search runs.
     """
-    stage_cfgs = [
-        replace(cfg, blur_m=int(m), blur_n=int(n), axis=_stage_axis(int(m), int(n), cfg.axis))
-        for m, n in sizes
-    ]
+    stage_cfgs = [replace(cfg, blur_m=int(m), blur_n=int(n)) for m, n in sizes]
     if not stage_cfgs:
         raise ValueError("pipeline needs at least one blur size")
     current = g

@@ -111,7 +111,6 @@ class SearchConfig:
     tol_real: float = 1e-6
     tol_track_ratio: float = 0.5
     max_combinations: int = 1_000_000
-    axis: Axis = Axis.V
     early_stop: bool = False
 
     def __post_init__(self):
@@ -121,15 +120,6 @@ class SearchConfig:
             raise ValueError("blur_n must be >= 1")
         if self.blur_m == 1 and self.blur_n == 1:
             raise AxisError("a 1 x 1 blur has no roots in u or in v, so neither axis can find it")
-        if self.axis is Axis.V and self.blur_n < 2:
-            raise AxisError(
-                "an m x 1 blur has no roots in v; search the transposed "
-                "image instead (axis=U)"
-            )
-        if self.axis is Axis.U and self.blur_m < 2:
-            raise AxisError(
-                "a 1 x n blur has no roots in u; search it along v (axis=V)"
-            )
         if not math.isfinite(self.base_phase):
             raise ValueError("base_phase must be finite")
         if not 0.0 < self.phase_step < math.pi / 8:
@@ -206,7 +196,7 @@ def compute_q(m: int, n: int) -> int:
         raise ValueError("m must be >= 1")
     if n < 2:
         raise AxisError(
-            "n < 2 leaves no roots in v; transpose the image (axis=U) and "
+            "n < 2 leaves no roots in v; transpose the image and "
             "search the m x 1 blur as 1 x m"
         )
     return -(-m * n // (n - 1))
@@ -462,6 +452,11 @@ def _refine(
 def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     """Search the transform for a blur_m x blur_n blur along v.
 
+    A blur with blur_n < 2 has no roots in v, so :func:`compute_q`
+    raises :class:`AxisError` for it.  The report always names axis V;
+    :func:`search_image` picks the axis and transposes the image for a
+    search along u.
+
     Tracks the base-point roots at halving levels 0, 1, ... in turn,
     solving each level's midpoints only when the search reaches it, and
     rank-tests every combination (lexicographic, capped at
@@ -478,18 +473,13 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     combination).  A run that accepts nothing returns an empty-best report
     rather than raising.
     """
-    if cfg.axis is not Axis.V:
-        raise AxisError(
-            "search_blur scans roots in v; use search_image or remove_blur "
-            "for axis=U searches"
-        )
     m, n = cfg.blur_m, cfg.blur_n
     q = compute_q(m, n)
     try:
         points, chain = choose_sample_points(q, cfg, P)
     except SamplingError as exc:
         log.info("sampling failed: %s", exc)
-        return SearchReport(m, n, q, cfg.axis, sampling_failed=True)
+        return SearchReport(m, n, q, Axis.V, sampling_failed=True)
     phases = tuple(pt.phase for pt in points)
     # Level 0 steps from slot to slot, level L in steps of phase_step / 2**L;
     # the sample points are the non-empty slots, at entries that double with
@@ -499,7 +489,7 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     n_prime = slices[0].count
     k = n - 1
     if n_prime < k:
-        return SearchReport(m, n, q, cfg.axis, sample_phases=phases, n_prime=n_prime)
+        return SearchReport(m, n, q, Axis.V, sample_phases=phases, n_prime=n_prime)
     total = math.comb(n_prime, k)
     evaluated = min(total, cfg.max_combinations)
 
@@ -549,7 +539,7 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
         blur_m=m,
         blur_n=n,
         q=q,
-        axis=cfg.axis,
+        axis=Axis.V,
         sample_phases=phases,
         n_prime=n_prime,
         candidates=candidates,
@@ -562,16 +552,19 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
 
 
 def search_image(img: Image, cfg: SearchConfig) -> SearchReport:
-    """Search an image for a blur, transposing first when axis is U.
+    """Search an image for a blur along the kernel's longer side.
 
-    For axis=U the search runs on the transposed image with swapped blur
-    dimensions; candidate matrices in the returned report are transposed
-    back to the caller's (blur_m, blur_n) orientation.  Combination indices
+    An m x n blur has n - 1 roots in v and m - 1 in u, and the axis with
+    more roots needs fewer sample points, so the search runs along u when
+    ``blur_m > blur_n`` and along v otherwise (a square blur is scanned
+    along v).  Along u it searches the transposed image for the swapped
+    blur; candidate matrices in the returned report are transposed back
+    to the caller's (blur_m, blur_n) orientation, and combination indices
     then refer to base-slice roots of the transposed image.
     """
-    if cfg.axis is Axis.V:
+    if cfg.blur_m <= cfg.blur_n:
         return search_blur(ztransform(img), cfg)
-    cfg_v = replace(cfg, blur_m=cfg.blur_n, blur_n=cfg.blur_m, axis=Axis.V)
+    cfg_v = replace(cfg, blur_m=cfg.blur_n, blur_n=cfg.blur_m)
     rep = search_blur(ztransform(transpose(img)), cfg_v)
     candidates = [replace(c, h=c.h.T.copy()) for c in rep.candidates]
     best = None

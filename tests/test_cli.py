@@ -177,7 +177,7 @@ class TestDeblur:
         g = convolve(f, synth_blur(3, 1, 55))
         save_csv(g, tmp_path / "g.csv")
         rc = main(["deblur", "--input", str(tmp_path / "g.csv"), "--blur", "3x1",
-                   "--axis", "u", "--phase-step", "0.25", "--output", str(tmp_path / "r")])
+                   "--phase-step", "0.25", "--output", str(tmp_path / "r")])
         assert rc == EXIT_OK
         rep = read_report(tmp_path / "r" / "report.json")
         assert rep["per_stage"][0]["axis"] == "u"
@@ -263,20 +263,24 @@ class TestPipeline:
         assert len(rep["per_stage"]) == 2
         assert rep["per_stage"][1]["accepted_combination"] is None
 
-    @pytest.mark.parametrize("axis", ["v", "u"])
-    def test_axis_per_stage(self, tmp_path, axis):
-        # a 1 x n stage searches along v and an m x 1 stage along u,
-        # whichever axis is configured
-        main(synth_args(tmp_path / "d", sizes="1x3,3x1", width=20, height=20, seed=7))
+    @pytest.mark.parametrize(
+        "first, sizes, axes",
+        [("v", "1x3,3x1,3x2", ["v", "u", "u"]), ("u", "3x1,1x3,2x3", ["u", "v", "v"])],
+        ids=["v", "u"],
+    )
+    def test_axis_per_stage(self, tmp_path, first, sizes, axes):
+        # each stage searches along its blur's longer side, v for 1 x n and
+        # 2 x 3, u for m x 1 and 3 x 2, whichever axis the first stage took
+        main(synth_args(tmp_path / "d", sizes=sizes, width=20, height=20, seed=7))
         out = tmp_path / "r"
         rc = main(["pipeline", "--input", str(tmp_path / "d" / "convolved.csv"),
-                   "--sizes", "1x3,3x1", "--phase-step", "0.32", "--axis", axis,
-                   "--output", str(out)])
+                   "--sizes", sizes, "--phase-step", "0.32", "--output", str(out)])
         assert rc == EXIT_OK
         rep = read_report(out / "report.json")
-        assert rep["config_echo"]["axis"] == axis
-        assert [s["axis"] for s in rep["per_stage"]] == ["v", "u"]
-        for i in (1, 2):
+        assert "axis" not in rep["config_echo"]
+        assert [s["axis"] for s in rep["per_stage"]] == axes
+        assert axes[0] == first
+        for i in (1, 2, 3):
             truth = load_matrix_csv(tmp_path / "d" / f"blur_{i}.csv")
             found = load_matrix_csv(out / f"blur_{i}.csv")
             assert np.abs(found - truth / truth.sum()).max() <= 1e-12
@@ -518,6 +522,18 @@ class TestErrorExit:
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
         assert re.search(rf"^error: .*{message}", err, re.MULTILINE), err
+
+    def test_axis_is_neither_flag_nor_key(self, tmp_path, capsys):
+        # the search axis follows from the blur size and cannot be set
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--input", "missing.pgm", "--blur", "2x2", "--axis", "u"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("axis = u\n")
+        rc = main(["search", "--input", "missing.pgm", "--blur", "2x2",
+                   "--output", str(tmp_path / "r"), "--config", str(cfg)])
+        assert rc == EXIT_ERROR
+        assert "unknown config key 'axis'" in capsys.readouterr().err
 
     def test_non_finite_report_value_raises(self, tmp_path):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 from helpers import exact_model, images_close, protocol_config, unit_sum
 import zerosheet.restore
 from zerosheet import (
-    Axis,
     AxisError,
     DegenerateBlurError,
     DivisionUnstableError,
@@ -286,7 +285,7 @@ class TestRemoveBlur:
         f = synth_image(14, 14, 4)
         h = synth_blur(3, 1, 55)
         g = convolve(f, h)
-        cfg = SearchConfig(blur_m=3, blur_n=1, axis=Axis.U, phase_step=0.25)
+        cfg = SearchConfig(blur_m=3, blur_n=1, phase_step=0.25)
         cand, res, rep = remove_blur(g, cfg)
         assert cand.h.shape == (3, 1)
         assert np.max(np.abs(cand.h - unit_sum(matrix_from_image(h)))) <= 1e-6
