@@ -288,13 +288,16 @@ def save_pgm(img: Image, path, maxval: int = 255) -> None:
 # --------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _csv_rows(a: np.ndarray) -> list[str]:
+    """One comma-separated line per row of a 2D array, 17 significant digits
+    per entry, each formatted by one ``%`` on a template built once."""
+    template = ",".join(["%.17g"] * a.shape[1])
+    return [template % tuple(row) for row in a.tolist()]
 
 
 def save_csv(img: Image, path) -> None:
     """Write one CSV line per image row, 17 significant digits per sample."""
-    lines = [",".join(_fmt(v) for v in row) for row in img.pixels]
+    lines = _csv_rows(img.pixels)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -337,7 +340,7 @@ def save_matrix_csv(mat, path) -> None:
     if a.ndim != 2:
         raise ValueError("matrix must be 2D")
     m, n = a.shape
-    lines = [f"{m},{n}"] + [",".join(_fmt(v) for v in row) for row in a]
+    lines = [f"{m},{n}"] + _csv_rows(a)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -16,20 +16,23 @@ The search considers the combinations of n - 1 base-point roots in
 lexicographic order and reports every evaluated candidate.  Tracking
 depends on single roots, so it runs once per root rather than once per
 combination: every base root is followed across the sample points by
-nearest-neighbour matching, and a combination tracks when each of its roots
-matches unambiguously at every step and no two of them end on the same
-root.  Only combinations of roots that passed on their own are walked; each
-one's lexicographic rank among all combinations keeps the report's counts
-and the ``max_combinations`` cap as if every combination had been visited.
+matching its predicted position, one step along its zero sheet's tangent,
+to the nearest root of the next slice, and a combination tracks when each
+of its roots matches unambiguously at every step and no two of them end on
+the same root.  Only combinations of roots that passed on their own are
+walked; each one's lexicographic rank among all combinations keeps the
+report's counts and the ``max_combinations`` cap as if every combination
+had been visited.
 The sample points, with an empty slot wherever a point had to be
 replaced, are level 0 of the tracking chain.  A combination that does not
 track is tried again on finer chains: level L interleaves the chain of
 level L - 1 with the midpoints between its entries, halving the phase step.
 The levels are built on demand, one at a time: level L's midpoints are
 solved only when the search reaches it, all roots are tracked once there,
-and the combinations that track there for the first time are rank-tested.
-The search stops after the first level at which a candidate is accepted,
-so a kernel found at the sample points costs no midpoint at all.
+and the combinations that track there are rank-tested, unless they were
+already tested on the same sample-point roots.  The search stops after the
+first level at which a candidate is accepted, so a kernel found at the
+sample points costs no midpoint at all.
 Only the first sample slot is solved cold (Aberth from Newton-polygon
 guesses, see :func:`zerosheet.zpoly.find_roots`): every later slot starts
 from the roots of the last usable slot, and each midpoint from those of its
@@ -259,9 +262,10 @@ def _match(
     targets: np.ndarray,
     tol_track_ratio: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbour match of every source root among the targets.
+    """Nearest-neighbour match of every source point (a root's predicted
+    position) among the targets.
 
-    Returns, per source root, the index of its nearest target and whether
+    Returns, per source point, the index of its nearest target and whether
     the match passes: it fails when the second-nearest target lies at
     distance 0 or the ambiguity ratio d_best / d_second exceeds
     ``tol_track_ratio``.
@@ -399,7 +403,11 @@ def _track_chain(
     """Follow every base root along a chain of slices.
 
     ``chain[anchors[j]]`` is the slice at sample point j; empty entries are
-    skipped.  Returns each root's index at every anchor (shape q x n') and
+    skipped.  At each step every root is carried along its zero sheet's
+    tangent to the next slice and matched there: the step along the unit
+    circle from u by the phase difference t is du = i u t, and the
+    prediction is v + (dv/du) du.  A root whose prediction is not finite
+    fails.  Returns each root's index at every anchor (shape q x n') and
     whether it matched unambiguously at every step.  Two roots that meet at
     some step follow the same path from there on, so roots that end on
     distinct indices never collided.
@@ -412,8 +420,11 @@ def _track_chain(
         for nxt in chain[anchors[j - 1] + 1 : anchors[j] + 1]:
             if nxt is None:
                 continue
-            nearest, passed = _match(current.roots, nxt.roots, tol_track_ratio)
-            ok &= passed[idx]
+            du = 1j * current.u * np.angle(nxt.u / current.u)
+            with np.errstate(invalid="ignore", over="ignore"):
+                predicted = current.roots + current.slopes * du
+            nearest, passed = _match(predicted, nxt.roots, tol_track_ratio)
+            ok &= passed[idx] & np.isfinite(predicted[idx])
             idx = nearest[idx]
             current = nxt
         at_anchors.append(idx)
@@ -460,8 +471,11 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     Tracks the base-point roots at halving levels 0, 1, ... in turn,
     solving each level's midpoints only when the search reaches it, and
     rank-tests every combination (lexicographic, capped at
-    ``cfg.max_combinations``) at the first level where it tracks.  Each
-    level walks only the combinations of roots that passed there, in
+    ``cfg.max_combinations``) at the first level where it tracks.  A later
+    level tests it again only when its tracks end on other sample-point
+    roots than at its last test, since a coarse step can jump from one
+    zero sheet to another; the report keeps the latest test.  Each level
+    walks only the combinations of roots that passed there, in
     lexicographic order, and counts each by its rank among all
     combinations.  The walk
     stops after the first level that accepts a candidate, so a combination
@@ -493,9 +507,12 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     total = math.comb(n_prime, k)
     evaluated = min(total, cfg.max_combinations)
 
-    # Candidates by lexicographic index; a combination is rank-tested at the
-    # first level where it tracks and never again.
+    # Candidates by lexicographic index, each with the sample-point roots it
+    # was tested on; a combination is rank-tested at the first level where
+    # it tracks, and again only where a later level's tracks end on other
+    # roots (a coarse step can jump paths).
     found: dict[int, BlurCandidate] = {}
+    tested_on: dict[int, bytes] = {}
     for level in range(_MAX_HALVINGS + 1):
         if level:
             chain = _refine(P, cfg, chain, anchors[0], level)
@@ -506,17 +523,15 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
             i = _lex_rank(combo, n_prime)
             if i >= cfg.max_combinations:
                 break
-            sel = list(combo)
-            if i in found or len(set(at_anchors[-1, sel].tolist())) < k:
+            track = at_anchors[:, list(combo)]
+            if len(set(track[-1].tolist())) < k or tested_on.get(i) == track.tobytes():
                 continue
             # The rank test always runs on the sample points themselves, so
             # it keeps its full discrimination whichever level tracked.
-            A = build_system(
-                [rs.roots[idx] for rs, idx in zip(slices, at_anchors[:, sel])], points, m, n
-            )
+            A = build_system([rs.roots[idx] for rs, idx in zip(slices, track)], points, m, n)
             sigma_min, sigma_second, xi = nullspace_min(A)
             cand = extract_blur(xi, m, n, q, cfg, sigma_min, sigma_second, combo)
-            found[i] = cand
+            found[i], tested_on[i] = cand, track.tobytes()
             if cand.accepted:
                 accepted = True
                 if cfg.early_stop:

@@ -53,7 +53,7 @@ _NEWTON_MAX_ITER = 40
 # Aberth steps a solve may take from one start (the caller's guesses or the
 # Newton-polygon ones) before it tries the next start.
 _ABERTH_MAX_ITER = 50
-# Relative bound on |sum(roots) + a_{d-1} / a_d| for an Aberth root set.
+# Relative bound on |sum(roots) + a_{d-1} / a_d| for a root set (Vieta).
 _VIETA_TOL = 1e-8
 
 
@@ -159,13 +159,17 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     guards, from the Newton-polygon guesses of :func:`_polygon_guesses`.
     Bad guesses thus lead to exactly the solve of a call without them.
     Only when both runs fail do the companion-matrix eigenvalues serve, at
-    O(d^3) cost against O(d^2) per Aberth step.  All estimates are then
+    O(d^3) cost against O(d^2) per Aberth step: as a third Aberth start,
+    whose repulsion keeps two estimates from polishing into one root, and
+    as they are when that run fails too.  All estimates are then
     polished together by Newton iteration on the original coefficients
     until the relative residual ``|p(root)| / sum_y |a_y| |root|^y`` is at
     most ``ROOT_TOL``.  Aberth and Newton evaluate it at 1/root outside the
     unit circle (see :func:`_evaluate`), so no root is out of range.
     Returns (roots, relative residuals) sorted by real part, then imaginary
-    part; raises :class:`RootFindingError` if any root misses the bound.
+    part; raises :class:`RootFindingError` if any root misses the bound or
+    the polished roots, whichever start they came from, do not sum to
+    -a_{d-1} / a_d (Vieta): small residuals alone do not make a root set.
     """
     d = p.effective_degree
     if d < 1:
@@ -175,12 +179,20 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     if start is None:
         start = _aberth(basis, _polygon_guesses(p.coeffs), ROOT_TOL)
     if start is None:
-        start = np.roots(p.coeffs[::-1])
+        eigen = np.roots(p.coeffs[::-1])
+        start = _aberth(basis, eigen, ROOT_TOL)
+        if start is None:
+            start = eigen
     roots, residuals = _polish(basis, start, ROOT_TOL)
     if not (residuals <= ROOT_TOL).all():
         raise RootFindingError(
             f"root polishing stalled at relative residual {residuals.max():.3e} "
             f"(bound {ROOT_TOL:.3e}, degree {d})"
+        )
+    if not _vieta_holds(p.coeffs, roots):
+        raise RootFindingError(
+            f"polished roots do not sum to -a_{{d-1}} / a_d (degree {d}): "
+            "they are not the full root set"
         )
     order = np.lexsort((roots.imag, roots.real))
     return roots[order], residuals[order]
@@ -229,11 +241,14 @@ def _aberth(basis, guesses, tol_root: float) -> np.ndarray | None:
             z[active] = za - newton / (1.0 - newton * repulsion)
             if not np.isfinite(z[active]).all():
                 return None
-    if _min_separation(z) < CLUSTER_TOL:
-        return None
-    if abs(z.sum() + coeffs[-2] / coeffs[-1]) > _VIETA_TOL * np.abs(z).sum():
+    if _min_separation(z) < CLUSTER_TOL or not _vieta_holds(coeffs, z):
         return None
     return z
+
+
+def _vieta_holds(coeffs: np.ndarray, z: np.ndarray) -> bool:
+    """Whether the roots z sum to -a_{d-1} / a_d, relative to sum |z|."""
+    return abs(z.sum() + coeffs[-2] / coeffs[-1]) <= _VIETA_TOL * np.abs(z).sum()
 
 
 def _polygon_guesses(coeffs: np.ndarray) -> np.ndarray:
@@ -279,16 +294,11 @@ def _coeff_rows(coeffs: np.ndarray):
     return rows, np.abs(rows[::2])
 
 
-def _evaluate(basis, z: np.ndarray):
-    """Relative residual ``|p(z)| / sum_y |a_y| |z|^y`` and Newton step
-    p(z) / p'(z) at every point of z, from powers of w = z inside the unit
-    circle and w = 1/z outside, so no power exceeds 1 in modulus.  Outside,
-    p(z) = z^d r(w) with r(w) = sum_y a_{d-y} w^y: the residual is |r(w)| /
-    sum_y |a_{d-y}| |w|^y and the step z r / s, s(w) = d r - w r' = sum_y
-    (d - y) a_{d-y} w^y.  One matrix of powers, built by repeated doubling
-    (row j holds ``w**j``), serves all rows of :func:`_coeff_rows`."""
-    rows, mags = basis
-    d = rows.shape[1] - 1
+def _inverted_powers(z: np.ndarray, d: int):
+    """Where |z| > 1, and the powers ``w**0 .. w**d`` as a (d + 1) x len(z)
+    matrix, with w = z inside the unit circle and w = 1/z outside, so no
+    power exceeds 1 in modulus.  Built by repeated doubling (row j holds
+    ``w**j``)."""
     out = np.abs(z) > 1.0
     w = np.divide(1.0, z, out=z.copy(), where=out)
     pows = np.empty((d + 1, len(w)), dtype=np.complex128)
@@ -299,6 +309,19 @@ def _evaluate(basis, z: np.ndarray):
         np.multiply(pows[:m], wn, out=pows[n : n + m])
         wn = wn * wn
         n *= 2
+    return out, pows
+
+
+def _evaluate(basis, z: np.ndarray):
+    """Relative residual ``|p(z)| / sum_y |a_y| |z|^y`` and Newton step
+    p(z) / p'(z) at every point of z, from powers of w = z inside the unit
+    circle and w = 1/z outside, so no power exceeds 1 in modulus.  Outside,
+    p(z) = z^d r(w) with r(w) = sum_y a_{d-y} w^y: the residual is |r(w)| /
+    sum_y |a_{d-y}| |w|^y and the step z r / s, s(w) = d r - w r' = sum_y
+    (d - y) a_{d-y} w^y.  One matrix of powers (:func:`_inverted_powers`)
+    serves all rows of :func:`_coeff_rows`."""
+    rows, mags = basis
+    out, pows = _inverted_powers(z, rows.shape[1] - 1)
     vals, scales = rows @ pows, mags @ np.abs(pows)
     f, df = np.where(out, vals[2:], vals[:2])
     scale = np.where(out, scales[1], scales[0])
@@ -346,11 +369,14 @@ def _polish(basis, guesses: np.ndarray, tol_root: float):
 
 @dataclass(frozen=True, eq=False)
 class RootSlice:
-    """Root data of one slice: the roots in v at a fixed sample point u."""
+    """Root data of one slice: the roots in v at a fixed sample point u, and
+    the slope dv/du of the zero sheet through each of them."""
 
+    u: complex
     leading_coeff: complex
     roots: np.ndarray
     residuals: np.ndarray
+    slopes: np.ndarray
     clustered: bool
 
     @property
@@ -365,17 +391,45 @@ def slice_roots(P: BivariatePoly, u: complex, *, guesses=None) -> RootSlice:
     ``guesses``, the roots of a nearby slice, warm-start the solve (see
     :func:`find_roots`).
     """
+    u = complex(u)
     poly = slice_in_v(P, u)
     if poly.effective_degree == 0:
         roots, residuals = np.empty(0, dtype=np.complex128), np.empty(0)
     else:
         roots, residuals = find_roots(poly, guesses=guesses)
     return RootSlice(
+        u=u,
         leading_coeff=complex(poly.coeffs[-1]),
         roots=roots,
         residuals=residuals,
+        slopes=_slopes(P, u, poly.coeffs, roots),
         clustered=_min_separation(roots) < CLUSTER_TOL,
     )
+
+
+def _slopes(P: BivariatePoly, u: complex, coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """dv/du = -G_u / G_v at every root v of the slice ``coeffs`` at u.
+
+    G_v is the slice's derivative p'(v); G_u is the slice of dG/du, with
+    coefficients b_y = sum_x x a[x, y] u^(x-1), cut to the slice's trimmed
+    length.  Both are evaluated like :func:`_evaluate`, through w = 1/v
+    outside the unit circle: there B(v) = v^d B_rev(w) and p'(v) = v^(d-1)
+    s(w), with B_rev the reversed b and s the last row of
+    :func:`_coeff_rows`, so G_u / G_v = v B_rev(w) / s(w).  A root where p'
+    vanishes gets a non-finite slope.
+    """
+    d = len(coeffs) - 1
+    m = P.coeffs.shape[0]
+    dpows = np.zeros(m, dtype=np.complex128)
+    dpows[1:] = _powers(u, m)[:-1] * np.arange(1, m)
+    b = (dpows @ P.coeffs)[: d + 1]
+    rows = _coeff_rows(coeffs)[0]
+    rows[0], rows[2] = b, b[::-1]
+    out, pows = _inverted_powers(roots, d)
+    vals = rows @ pows
+    g_u, g_v = np.where(out, vals[2:], vals[:2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(out, roots, 1.0) * g_u / g_v
 
 
 def elementary_symmetric_coeffs(gammas) -> np.ndarray:

@@ -229,6 +229,23 @@ class TestCsv:
         save_csv(img, path)
         assert np.array_equal(load_csv(path).pixels, img.pixels)
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        # each row is one "%.17g,..." template; the bytes are those of
+        # formatting every value on its own with format(v, ".17g")
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((7, 9)) * 10.0 ** rng.integers(-300, 300, (7, 9))
+        a[0, :5] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308]
+        a[1, :3] = [1.0, -1e16, 123456789012345678.0]
+
+        def reference(rows):
+            return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+
+        save_csv(Image(a), tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_bytes() == reference(a).encode("ascii")
+        save_matrix_csv(a[:3, :4], tmp_path / "m.csv")
+        want = "3,4\n" + reference(a[:3, :4])
+        assert (tmp_path / "m.csv").read_bytes() == want.encode("ascii")
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("1,2\n3\n")

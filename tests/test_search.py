@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from collections import Counter
@@ -39,12 +40,16 @@ from zerosheet.search import SamplePoint, _lex_rank, _track_chain
 from zerosheet.zpoly import RootSlice
 
 
-def make_slice(roots):
+def make_slice(roots, u=1.0, slopes=0.0):
+    """A slice at u whose roots move with the given slopes dv/du (flat
+    sheets by default, so prediction leaves every root where it is)."""
     roots = np.asarray(roots, dtype=complex)
     return RootSlice(
+        u=complex(u),
         leading_coeff=1.0 + 0j,
         roots=roots,
         residuals=np.zeros(len(roots)),
+        slopes=np.broadcast_to(np.asarray(slopes, dtype=complex), roots.shape),
         clustered=False,
     )
 
@@ -160,62 +165,91 @@ class TestChooseSamplePoints:
 
 
 def track_pair(prev, nxt, tol_track_ratio=0.5):
-    """Each root's nearest match in ``nxt`` and whether it passed."""
+    """Each root's match in ``nxt`` and whether it passed."""
     at_anchors, ok = _track_chain([0, 1], [prev, nxt], tol_track_ratio)
     return at_anchors[1].tolist(), ok.tolist()
 
 
+# From u = 1 to this point the tangent step is du = 0.1i, so a root with
+# slope -10i is predicted 1 further along the real axis, and one with slope
+# 10i 1 back.
+NEXT_U = unit_point(0.1)
+
+
 class TestTrackRoots:
     def test_nearest_neighbour(self):
-        prev = make_slice([1.0, -1.0])
-        nxt = make_slice([-0.99, 1.01])
+        # each root matches the target nearest its predicted position: the
+        # two roots swap places, where matching from where they stood would
+        # keep each one in place
+        prev = make_slice([0.0, 1.0], slopes=[-10j, 10j])
+        nxt = make_slice([0.01, 1.01], u=NEXT_U)
         assert track_pair(prev, nxt) == ([1, 0], [True, True])
 
     def test_ambiguity_error(self):
-        prev = make_slice([1.0, 1.001])
-        nxt = make_slice([1.0005, 1.0006])
+        # root 0 lands between two targets, though its nearest neighbour
+        # from where it stood would be unambiguous
+        prev = make_slice([0.0, 5.0], slopes=[-10j, 0.0])
+        nxt = make_slice([0.02, 0.9, 1.1, 5.0], u=NEXT_U)
         _, ok = track_pair(prev, nxt, tol_track_ratio=0.5)
-        assert not ok[0]
+        assert ok == [False, True]
 
     def test_collision_error(self):
-        # roots 0 and 1 pass on their own but end on the same target, so
-        # no combination holding both tracks
-        prev = make_slice([0.0, 0.2, 5.0])
-        nxt = make_slice([0.1, 4.0, 9.0])
+        # roots 0 and 1 pass on their own but are predicted onto the same
+        # target, so no combination holding both tracks
+        prev = make_slice([0.0, 3.0, 5.0], slopes=[-10j, 18j, 0.0])
+        nxt = make_slice([1.1, 4.0, 9.0], u=NEXT_U)
         ends, ok = track_pair(prev, nxt)
-        assert ok[:2] == [True, True] and ends[0] == ends[1]
+        assert ok == [True, True, True] and ends[0] == ends[1] == 0
+
+    def test_non_finite_prediction_fails(self):
+        prev = make_slice([0.0, 5.0], slopes=[np.inf, 0.0])
+        nxt = make_slice([0.0, 5.0], u=NEXT_U)
+        assert track_pair(prev, nxt)[1] == [False, True]
 
     def test_true_blur_roots_stay_on_sheet(self):
-        # tracked image roots follow the blur's own slice roots across points
-        f, h, g = exact_model(seed=8, fw=14, fh=14, m=2, n=3)
+        # at the searches' step 0.32, the tracked image roots follow the
+        # blur's own slice roots across points; without the slopes (plain
+        # nearest-neighbour matching) the same chain loses them
+        f, h, g = exact_model(seed=8, fw=20, fh=20, m=2, n=3)
         Pg, Ph = ztransform(g), ztransform(h)
-        base, step = 0.3, 0.01
+        base, step = 0.3, 0.32
         chain = [slice_roots(Pg, unit_point(base + j * step)) for j in range(5)]
-        at_anchors, ok = _track_chain(list(range(5)), chain, 0.5)
         hr = slice_roots(Ph, unit_point(base)).roots
         sel = [int(np.argmin(np.abs(chain[0].roots - r))) for r in hr]
-        assert ok[sel].all() and len(set(at_anchors[-1, sel].tolist())) == len(sel)
-        for j in range(1, 5):
-            hr_j = slice_roots(Ph, unit_point(base + j * step)).roots
-            tracked = chain[j].roots[at_anchors[j, sel]]
-            worst = max(min(abs(t - r) for r in hr_j) for t in tracked)
-            assert worst <= 1e-6
+
+        def worst_miss(chain):
+            at_anchors, ok = _track_chain(list(range(5)), chain, 0.5)
+            if not ok[sel].all() or len(set(at_anchors[-1, sel].tolist())) < len(sel):
+                return math.inf
+            worst = 0.0
+            for j in range(1, 5):
+                hr_j = slice_roots(Ph, unit_point(base + j * step)).roots
+                tracked = chain[j].roots[at_anchors[j, sel]]
+                worst = max(worst, max(min(abs(t - r) for r in hr_j) for t in tracked))
+            return worst
+
+        assert worst_miss(chain) <= 1e-6
+        flat = [replace(rs, slopes=np.zeros_like(rs.slopes)) for rs in chain]
+        assert worst_miss(flat) > 1e-6
 
 
 class MatchError(Exception):
     """The reference oracle found no unambiguous, injective match."""
 
 
-def match_selected(prev_roots, next_roots, selected, tol_track_ratio):
+def match_selected(predicted, next_roots, selected, tol_track_ratio):
     """Reference oracle: injective nearest-neighbour matching of the selected
-    roots, one root after another, as the search did per combination before
-    it tracked each root once.  Returns the matched indices (selected order
-    preserved) and the worst ambiguity ratio; raises MatchError."""
+    roots' predicted positions, one root after another, as the search did
+    per combination before it tracked each root once.  Returns the matched
+    indices (selected order preserved) and the worst ambiguity ratio;
+    raises MatchError."""
     used: set[int] = set()
     out: list[int] = []
     worst = 0.0
     for i in selected:
-        d = np.abs(next_roots - prev_roots[i])
+        if not np.isfinite(predicted[i]):
+            raise MatchError(f"root {i} has no finite prediction")
+        d = np.abs(next_roots - predicted[i])
         j_best = int(np.argmin(d))
         d_best = float(d[j_best])
         if len(d) > 1:
@@ -237,8 +271,9 @@ def match_selected(prev_roots, next_roots, selected, tol_track_ratio):
 
 def walk_combination(anchors, chain, combo, tol_track_ratio):
     """Reference oracle: carry one combination along the chain with
-    ``match_selected``.  Returns its indices at every anchor, or None when
-    matching breaks."""
+    ``match_selected``, each step from the roots moved along their slopes by
+    the tangent step i u dtheta.  Returns its indices at every anchor, or
+    None when matching breaks."""
     selected = tuple(combo)
     at_anchors = [selected]
     current = chain[anchors[0]]
@@ -246,10 +281,14 @@ def walk_combination(anchors, chain, combo, tol_track_ratio):
         for nxt in chain[anchors[j - 1] + 1 : anchors[j] + 1]:
             if nxt is None:
                 continue
+            dtheta = cmath.phase(nxt.u / current.u)
+            with np.errstate(invalid="ignore", over="ignore"):
+                predicted = [
+                    current.roots[i] + current.slopes[i] * (1j * current.u * dtheta)
+                    for i in range(current.count)
+                ]
             try:
-                selected, _ = match_selected(
-                    current.roots, nxt.roots, selected, tol_track_ratio
-                )
+                selected, _ = match_selected(predicted, nxt.roots, selected, tol_track_ratio)
             except MatchError:
                 return None
             current = nxt
@@ -260,27 +299,39 @@ def walk_combination(anchors, chain, combo, tol_track_ratio):
 @st.composite
 def root_chains(draw):
     """Anchored chains of equal-size root sets, with empty slots between
-    anchors.  Coordinates on a coarse grid make repeated roots and exact
-    distance ties common; small or zero offsets from the previous slice make
-    near-collisions and long tracked paths common."""
+    anchors; entry s lies at u = e^(0.1 i s).  Coordinates on a coarse grid
+    make repeated roots and exact distance ties common; small or zero
+    offsets from the previous slice make near-collisions and long tracked
+    paths common.  Slopes are mostly zero (the prediction stays put) or
+    small, sometimes large enough to carry a root past its neighbours, and
+    now and then infinite."""
     n = draw(st.integers(1, 6))
     coord = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0)
     root = st.builds(complex, coord, coord)
     offset = st.just(0j) | st.builds(complex, st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+    slope = (
+        st.just(0j)
+        | st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+        | st.builds(complex, st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
+        | st.just(complex(np.inf, 0.0))
+    )
 
-    def roots(prev):
+    def roots(prev, s):
+        slopes = draw(st.lists(slope, min_size=n, max_size=n))
         if prev is None or draw(st.booleans()):
-            return make_slice(draw(st.lists(root, min_size=n, max_size=n)))
+            return make_slice(draw(st.lists(root, min_size=n, max_size=n)), unit_point(0.1 * s), slopes)
         perm = draw(st.permutations(range(n)))
         offsets = draw(st.lists(offset, min_size=n, max_size=n))
-        return make_slice([prev.roots[p] + o for p, o in zip(perm, offsets)])
+        moved = [prev.roots[p] + o for p, o in zip(perm, offsets)]
+        return make_slice(moved, unit_point(0.1 * s), slopes)
 
-    chain = [roots(None)]
+    chain = [roots(None, 0)]
     anchors = [0]
     for _ in range(draw(st.integers(1, 3))):
         for _ in range(draw(st.integers(0, 2))):
-            chain.append(roots(chain[-1] or chain[anchors[-1]]) if draw(st.booleans()) else None)
-        chain.append(roots(chain[-1] or chain[anchors[-1]]))
+            s = len(chain)
+            chain.append(roots(chain[-1] or chain[anchors[-1]], s) if draw(st.booleans()) else None)
+        chain.append(roots(chain[-1] or chain[anchors[-1]], len(chain)))
         anchors.append(len(chain) - 1)
     tol = draw(st.sampled_from([0.2, 0.5, 0.9]))
     return anchors, chain, tol
@@ -333,20 +384,26 @@ class TestEnumerateCombinations:
 
     def test_cap(self):
         # the cap counts every combination in lexicographic order, tracked
-        # or not; 13 of the first 400 of C(41, 2) = 820 track
-        rep = self.capped(2, 3, 400)
+        # or not; the kernel's roots rank past the cap, so nothing accepts
+        # and the search walks every level: 14 of the first 400 of
+        # C(41, 2) = 820 track at one of them, and only those are reported
+        rep = self.capped(3, 3, 400)
         assert rep.combinations_total == 820 and rep.truncated
-        assert rep.combinations_evaluated == 400 and rep.tracking_failures == 387
+        assert rep.combinations_evaluated == 400 and rep.tracking_failures == 386
         combos = [c.combination for c in rep.candidates]
-        assert combos == [(7, 8)] + [(a, b) for a in (7, 8) for b in (18, 24, 30, 32, 33, 38)]
-        assert rep.best.combination == (7, 8)
+        assert combos == sorted(combos) and len(combos) == 14
+        assert max(_lex_rank(c, 41) for c in combos) < 400
+        assert rep.best is None
 
     def test_cap_hides_kernel_ranked_past_it(self):
-        # the 3x3 kernel's roots (12, 14) rank 415 of C(41, 2) = 820, past a cap of 400
-        rep = self.capped(3, 3, 400)
-        assert rep.best is None
-        assert [c.combination for c in rep.candidates] == [(3, 12), (3, 14), (3, 28)]
-        assert self.capped(3, 3, 700).best.combination == (12, 14)
+        # the 3x3 kernel's roots (12, 14) rank 415 of C(41, 2) = 820, past a
+        # cap of 400; under a cap of 700 they are the one combination that
+        # tracks at the sample points, where the search accepts and stops
+        assert _lex_rank((12, 14), 41) == 415
+        assert self.capped(3, 3, 400).best is None
+        rep = self.capped(3, 3, 700)
+        assert [c.combination for c in rep.candidates] == [(12, 14)]
+        assert rep.best.combination == (12, 14) and rep.tracking_failures == 699
 
 
 def ground_truth_track(g, h, q, base=0.3, step=0.01):
@@ -560,8 +617,9 @@ class TestSearchBlur:
     def test_each_slice_solved_once(self, monkeypatch):
         # no candidate meets this tol_null, so the search walks all four
         # halving levels: 3 sample points plus 2 + 4 + 8 + 16 midpoints,
-        # every point u solved exactly once
-        _, _, g = exact_model(seed=3, fw=12, fh=12, m=2, n=3)
+        # every point u solved exactly once; some combinations track at no
+        # level
+        _, _, g = exact_model(seed=1, fw=12, fh=12, m=2, n=3)
         solved = self.record_solves(monkeypatch)
         cfg = SearchConfig(blur_m=2, blur_n=3, phase_step=0.3, tol_null=1e-300)
         rep = search_blur(ztransform(g), cfg)
@@ -630,16 +688,17 @@ class TestSearchBlur:
         assert len(solved) == rep.q + 45 == 49
 
     def test_stops_at_first_level_that_accepts(self, monkeypatch):
-        # the true combination of this input first tracks at halving level 3:
-        # the search solves the points of the level-3 chain, at even
-        # multiples of phase_step / 16, and none of level 4
+        # the true combination of this 3x3 input first tracks at halving
+        # level 3: the search solves the points of the level-3 chain over
+        # its 5 sample slots, at even multiples of phase_step / 16, and none
+        # of level 4
         solved = self.record_solves(monkeypatch)
-        _, h, g = exact_model(seed=20, fw=16, fh=16, m=2, n=2)
-        cfg = SearchConfig(blur_m=2, blur_n=2, phase_step=0.3)
+        _, h, g = exact_model(seed=46, fw=16, fh=16, m=3, n=3)
+        cfg = SearchConfig(blur_m=3, blur_n=3, phase_step=0.3)
         rep = search_blur(ztransform(g), cfg)
-        assert rep.best is not None
+        assert rep.best is not None and rep.q == 5
         assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(h)))) <= 1e-12
-        want = [unit_point(cfg.base_phase + s * (cfg.phase_step / 16)) for s in range(0, 49, 2)]
+        want = [unit_point(cfg.base_phase + s * (cfg.phase_step / 16)) for s in range(0, 65, 2)]
         assert sorted(solved, key=np.angle) == want
 
     def test_counters_add_up(self):
@@ -767,3 +826,50 @@ class TestSearchImage:
             assert rep.best is not None, seed
             truth = unit_sum(matrix_from_image(h))
             assert np.max(np.abs(rep.best.h - truth)) <= 1e-9, seed
+
+
+class TestPredictedTracking:
+    """Searches at step 0.32 with default knobs, on
+    ``synth_image(N, N, seed)`` convolved with ``synth_blur(m, n, 1000 +
+    seed)``, that matching the roots' predicted positions decides."""
+
+    @staticmethod
+    def search(seed, m, n, size):
+        h = synth_blur(m, n, 1000 + seed)
+        g = convolve(synth_image(size, size, seed), h)
+        return search_image(g, SearchConfig(blur_m=m, blur_n=n, phase_step=0.32)), h
+
+    @pytest.mark.parametrize("seed", [12, 14])
+    def test_square_kernels_found(self, seed):
+        # nearest-neighbour matching missed both: the kernel's tracks jumped
+        # between zero sheets at every halving level
+        rep, h = self.search(seed, 3, 3, 64)
+        assert rep.best is not None
+        assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(h)))) <= 1e-9
+
+    def test_combination_retested_on_new_roots(self, monkeypatch):
+        # at a coarse level the kernel's tracks jump a sheet, so its first
+        # rank test runs on wrong roots and rejects; a finer level ends its
+        # tracks on other sample-point roots, tests it again and accepts,
+        # and the report keeps that latest test
+        tests = Counter()
+        extract_blur_ = zerosheet.search.extract_blur
+
+        def counting(*args, **kwargs):
+            cand = extract_blur_(*args, **kwargs)
+            tests[cand.combination] += 1
+            return cand
+
+        monkeypatch.setattr(zerosheet.search, "extract_blur", counting)
+        rep, h = self.search(13, 4, 3, 40)
+        assert rep.best is not None and tests[rep.best.combination] == 2
+        assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(h)))) <= 1e-9
+        assert [c for c in rep.candidates if c.combination == rep.best.combination] == [rep.best]
+
+    def test_sharp_images_accept_nothing(self):
+        for seed in range(12, 16):
+            for size in (40, 64):
+                for m, n in [(2, 2), (2, 3), (3, 3)]:
+                    cfg = SearchConfig(blur_m=m, blur_n=n, phase_step=0.32)
+                    rep = search_image(synth_image(size, size, seed), cfg)
+                    assert rep.best is None and not any(c.accepted for c in rep.candidates)

@@ -1,3 +1,4 @@
+import cmath
 from unittest import mock
 
 import numpy as np
@@ -25,8 +26,10 @@ from zerosheet.zpoly import (
     ROOT_TOL,
     BivariatePoly,
     _coeff_rows,
+    _evaluate,
     _min_separation,
     _polish,
+    _polygon_guesses,
     residual_scale,
 )
 
@@ -409,6 +412,90 @@ class TestPolish:
         monkeypatch.setattr(zerosheet.zpoly, "ROOT_TOL", 1e-30)
         with pytest.raises(RootFindingError, match="relative residual"):
             find_roots(UniPoly([-2.0, 0.0, 1.0]))
+
+
+class TestSlopes:
+    """``RootSlice.slopes`` is dv/du along each root's zero sheet."""
+
+    @pytest.mark.parametrize("dim", [1.0, 2.5e-3, 1e-6])
+    def test_match_central_differences(self, dim):
+        # the slice roots at u e^(+-ih), solved warm from those at u, move
+        # by the slope times the step in u; dim rows put roots far outside
+        # the unit circle, where |z|^127 overflows
+        P, u, h = dim_row_transform(dim), unit_point(0.3), 1e-6
+        rs = slice_roots(P, u)
+        ahead = slice_roots(P, u * cmath.rect(1.0, h), guesses=rs.roots)
+        behind = slice_roots(P, u * cmath.rect(1.0, -h), guesses=rs.roots)
+
+        def nearest(other):
+            idx = np.argmin(np.abs(other.roots[None, :] - rs.roots[:, None]), axis=1)
+            assert len(set(idx.tolist())) == rs.count
+            return other.roots[idx]
+
+        diff = (nearest(ahead) - nearest(behind)) / (ahead.u - behind.u)
+        modulus = np.abs(rs.roots)
+        assert (modulus < 1).any() and (modulus > 1).any()
+        if dim < 1e-3:
+            assert modulus.max() > 1e308 ** (1 / 127)
+        assert np.all(np.abs(diff - rs.slopes) <= 1e-5 * np.abs(rs.slopes))
+
+    def test_linear_sheet(self):
+        # G = v - u^2 has the root v = u^2 with slope 2u at every u
+        P = BivariatePoly(np.array([[0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]]))
+        for u in (0.5, unit_point(0.3), 3.0 - 1j):
+            rs = slice_roots(P, u)
+            assert rs.u == u and rs.roots == pytest.approx([u * u])
+            assert rs.slopes == pytest.approx([2 * u])
+
+    def test_degree_zero_slice_has_no_slopes(self):
+        rs = slice_roots(ztransform(Image([[1.0, 2.0, 3.0]])), unit_point(0.3))
+        assert rs.slopes.shape == (0,)
+
+
+class TestVietaGuard:
+    """Small relative residuals do not make a root set; the root sum must
+    match -a_{d-1} / a_d, whichever start the roots came from."""
+
+    @staticmethod
+    def pseudo_root_case(monkeypatch):
+        # 126 roots of modulus e^(+-0.2) plus 0.5 and 0.6: from the
+        # Newton-polygon start, Aberth without its Vieta check converges,
+        # every residual within the bound, to roots out to |z| ~ 1.8 that
+        # are not the polynomial's (their sum is off by 3.7%)
+        rng = np.random.default_rng(3)
+        roots = np.exp(rng.uniform(-0.2, 0.2, 126) + 2j * np.pi * rng.random(126))
+        p = UniPoly(elementary_symmetric_coeffs(np.concatenate([roots, [0.5, 0.6]])))
+        basis = _coeff_rows(p.coeffs)
+        with monkeypatch.context() as patched:
+            patched.setattr(zerosheet.zpoly, "_VIETA_TOL", np.inf)
+            pseudo = zerosheet.zpoly._aberth(basis, _polygon_guesses(p.coeffs), ROOT_TOL)
+        assert np.abs(pseudo).max() > 1.7 > np.exp(0.2)
+        residuals, _ = _evaluate(basis, pseudo)
+        assert residuals.max() <= ROOT_TOL
+        return p, pseudo
+
+    def test_eigenvalue_path_rejects_a_pseudo_root_set(self, monkeypatch):
+        # both Aberth starts fail their Vieta check, so the eigenvalues
+        # serve; made to be the pseudo-roots, they pass the residual bound
+        # but not the root sum
+        p, pseudo = self.pseudo_root_case(monkeypatch)
+        eigen = []
+        monkeypatch.setattr(np, "roots", lambda c: eigen.append(len(c)) or pseudo.copy())
+        with pytest.raises(RootFindingError, match="do not sum"):
+            find_roots(p)
+        assert eigen == [len(p.coeffs)]
+
+    def test_eigenvalues_polished_into_one_root_are_separated(self, monkeypatch):
+        # two eigenvalue estimates beside one root would polish into it and
+        # lose its neighbour; the Aberth run from the eigenvalues repels them
+        roots = separated_roots(5, 8)
+        p = UniPoly(elementary_symmetric_coeffs(roots))
+        eigen = roots.copy()
+        eigen[1] = roots[0] + 1e-7
+        monkeypatch.setattr(zerosheet.zpoly, "_polygon_guesses", lambda c: np.empty(0))
+        monkeypatch.setattr(np, "roots", lambda c: eigen.copy())
+        found, _ = find_roots(p)
+        assert np.allclose(np.sort_complex(found), np.sort_complex(roots), rtol=0, atol=1e-12)
 
 
 class TestElementarySymmetric:
