@@ -94,15 +94,6 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     return [_parse_size(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _read_config_file(path) -> dict[str, object]:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -114,9 +105,8 @@ def _read_config_file(path) -> dict[str, object]:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ZeroSheetError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = type(_DEFAULTS[key])
         try:
-            values[key] = _parse_bool(val) if caster is bool else caster(val)
+            values[key] = type(_DEFAULTS[key])(val)
         except ValueError:
             raise ZeroSheetError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from None
     return values
@@ -375,7 +365,6 @@ def _add_common(p: argparse.ArgumentParser, with_search_opts: bool = True) -> No
         p.add_argument("--tol-real", dest="tol_real", type=float)
         p.add_argument("--tol-track-ratio", dest="tol_track_ratio", type=float)
         p.add_argument("--max-combinations", dest="max_combinations", type=int)
-        p.add_argument("--early-stop", dest="early_stop", action="store_const", const=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

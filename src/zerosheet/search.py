@@ -23,10 +23,12 @@ the same root.  Only combinations of roots that passed on their own are
 walked; each one's lexicographic rank among all combinations keeps the
 report's counts and the ``max_combinations`` cap as if every combination
 had been visited.
-The sample points, with an empty slot wherever a point had to be
-replaced, are level 0 of the tracking chain.  A combination that does not
-track is tried again on finer chains: level L interleaves the chain of
-level L - 1 with the midpoints between its entries, halving the phase step.
+The slices at the sample points, with an empty slot wherever a point had
+to be replaced, are level 0 of the tracking chain; each slice carries its
+point u, so the chain is the search's only record of the sample points.
+A combination that does not track is tried again on finer chains: level L
+interleaves the chain of level L - 1 with the midpoints between its
+entries, halving the phase step.
 The levels are built on demand, one at a time: level L's midpoints are
 solved only when the search reaches it, all roots are tracked once there,
 and the combinations that track there are rank-tested, unless they were
@@ -73,7 +75,6 @@ from .zpoly import (
 __all__ = [
     "Axis",
     "SearchConfig",
-    "SamplePoint",
     "BlurCandidate",
     "SearchReport",
     "compute_q",
@@ -114,7 +115,6 @@ class SearchConfig:
     tol_real: float = 1e-6
     tol_track_ratio: float = 0.5
     max_combinations: int = 1_000_000
-    early_stop: bool = False
 
     def __post_init__(self):
         if self.blur_m < 1:
@@ -135,14 +135,6 @@ class SearchConfig:
             raise ValueError("max_combinations must be >= 1")
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    """One unit-circle sample point u_j."""
-
-    value: complex
-    phase: float
-
-
 @dataclass(frozen=True, eq=False)
 class BlurCandidate:
     """Outcome of testing one root combination.
@@ -154,7 +146,6 @@ class BlurCandidate:
     """
 
     h: np.ndarray
-    p: np.ndarray
     sigma_min: float
     sigma_second: float
     sigma_gap: float
@@ -205,56 +196,50 @@ def compute_q(m: int, n: int) -> int:
     return -(-m * n // (n - 1))
 
 
-def _solve(P: BivariatePoly, u: complex, guesses=None) -> RootSlice | None:
-    """The slice roots at u, or None when the slice is the zero polynomial
-    or its roots cannot be polished."""
+def _slot(P: BivariatePoly, phase: float, guesses, n_prime: int | None) -> RootSlice | None:
+    """The slice at the unit-circle point of ``phase`` if it is usable: not
+    the zero polynomial, its roots polished from ``guesses`` (or cold when
+    None), and ``n_prime`` of them (any number while that is None).  None
+    otherwise."""
     try:
-        return slice_roots(P, u, guesses=guesses)
+        rs = slice_roots(P, unit_point(phase), guesses=guesses)
     except (ZeroPolynomialError, RootFindingError):
         return None
+    return rs if n_prime is None or rs.count == n_prime else None
 
 
-def choose_sample_points(
-    q: int, cfg: SearchConfig, P: BivariatePoly
-) -> tuple[list[SamplePoint], list[RootSlice | None]]:
+def choose_sample_points(q: int, cfg: SearchConfig, P: BivariatePoly) -> list[RootSlice | None]:
     """Pick q usable unit-circle points near the base phase.
 
     Slot s lies at phase ``base_phase + s * phase_step``.  The first slot
     is solved cold, every later one warm from the roots of the last usable
-    slot (see :func:`zerosheet.zpoly.find_roots`).  A slot is usable when
-    its slice roots solve and their count equals that of the first slot
-    that solved; each point takes the next usable slot, after at most eight
-    unusable ones.  Returns the points and the level-0 tracking chain: the
-    slice of every slot up to the last point, None where a slot was
-    unusable.
+    slot (see :func:`zerosheet.zpoly.find_roots`), and a slot is usable
+    when it has as many roots as the first usable one (see :func:`_slot`).
+    Each point takes the next usable slot, after at most eight unusable
+    ones.  Returns the level-0 tracking chain: the slice of every slot up
+    to the last point, None where a slot was unusable.  The sample points
+    are the ``u`` of its non-empty slices.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    points: list[SamplePoint] = []
     chain: list[RootSlice | None] = []
     n_prime: int | None = None
     guesses = None
     for j in range(1, q + 1):
         for _ in range(_MAX_REPLACEMENTS + 1):
             phase = cfg.base_phase + len(chain) * cfg.phase_step
-            u = unit_point(phase)
-            rs = _solve(P, u, guesses)
-            if rs is not None and n_prime is None:
-                n_prime = rs.count
-            if rs is None or rs.count != n_prime:
-                log.debug("sample point %d at phase %.6f unusable", j, phase)
-                chain.append(None)
-                continue
+            rs = _slot(P, phase, guesses, n_prime)
             chain.append(rs)
-            guesses = rs.roots
-            points.append(SamplePoint(value=u, phase=phase))
-            break
+            if rs is not None:
+                n_prime, guesses = rs.count, rs.roots
+                break
+            log.debug("sample point %d at phase %.6f unusable", j, phase)
         else:
             raise SamplingError(
                 f"no usable sample point found for index {j} "
                 f"after {_MAX_REPLACEMENTS} replacements"
             )
-    return points, chain
+    return chain
 
 
 def _match(
@@ -290,27 +275,28 @@ def _lex_rank(combo: tuple[int, ...], n: int) -> int:
 
 def build_system(
     per_point_roots: list[np.ndarray],
-    points: list[SamplePoint],
+    points: list[complex],
     m: int,
     n: int,
 ) -> np.ndarray:
     """Assemble the (q*n) x (m*n + q) homogeneous matrix for one candidate.
 
     ``per_point_roots[j]`` holds the candidate's n - 1 roots tracked to
-    sample point j.  Unknown vector layout: the m*n blur entries first,
-    x-major within each y block (column y*m + x), then the q scales p_j.
-    Row (j, y) encodes ``sum_x h(x, y) u_j^x - p_j c_y = 0`` with c the
-    monic coefficients of the roots tracked at point j.
+    the sample point u_j = ``points[j]``.  Unknown vector layout: the m*n
+    blur entries first, x-major within each y block (column y*m + x), then
+    the q scales p_j.  Row (j, y) encodes
+    ``sum_x h(x, y) u_j^x - p_j c_y = 0`` with c the monic coefficients of
+    the roots tracked at point j.
     """
     q = len(points)
     if len(per_point_roots) != q:
         raise ValueError("roots do not span the sample points")
     A = np.zeros((q * n, m * n + q), dtype=np.complex128)
-    for j, pt in enumerate(points):
+    for j, u in enumerate(points):
         roots_j = per_point_roots[j]
         if len(roots_j) != n - 1:
             raise ValueError(f"expected {n - 1} tracked roots, got {len(roots_j)}")
-        pows = _powers(pt.value, m)
+        pows = _powers(u, m)
         c = elementary_symmetric_coeffs(roots_j)
         for y in range(n):
             row = j * n + y
@@ -361,21 +347,18 @@ def extract_blur(
     if len(xi) != m * n + q:
         raise ValueError(f"null vector length {len(xi)} != m*n + q = {m * n + q}")
     h = xi[: m * n].copy()
-    p = xi[m * n :].copy()
     mags = np.abs(h)
     k = int(np.argmax(mags))
     if mags[k] == 0.0:
         raise DegenerateCandidateError("null vector carries an all-zero blur block")
     phase = h[k] / mags[k]
     h /= phase
-    p /= phase
     realness = float(np.max(np.abs(h.imag)) / np.max(np.abs(h.real)))
     h_mat = h.real.reshape(n, m).T  # (m, n), [x, y]
     total = float(h_mat.sum())
     zero_sum = abs(total) < 1e-9 * float(np.max(np.abs(h_mat)))
     scale = float(np.max(np.abs(h_mat))) if zero_sum else total
     h_mat = h_mat / scale
-    p = p / scale
     sigma_gap = sigma_min / sigma_second if sigma_second > 0.0 else math.inf
     accepted = (
         not zero_sum
@@ -384,7 +367,6 @@ def extract_blur(
     )
     return BlurCandidate(
         h=h_mat,
-        p=p,
         sigma_min=sigma_min,
         sigma_second=sigma_second,
         sigma_gap=sigma_gap,
@@ -445,7 +427,7 @@ def _refine(
     after the first sample point (entry ``first`` of ``chain``) is a
     midpoint, warm-started from the roots of the entry before it, or of the
     entry after it when that one is empty.  Midpoints that are not usable
-    (see :func:`choose_sample_points`) stay empty.
+    (see :func:`_slot`) stay empty.
     """
     n_prime = chain[first].count
     finer: list[RootSlice | None] = [None] * (2 * len(chain) - 1)
@@ -454,9 +436,7 @@ def _refine(
     for s in range(2 * first + 1, len(finer), 2):
         neighbour = finer[s - 1] if finer[s - 1] is not None else finer[s + 1]
         guesses = None if neighbour is None else neighbour.roots
-        rs = _solve(P, unit_point(cfg.base_phase + s * sub), guesses)
-        if rs is not None and rs.count == n_prime:
-            finer[s] = rs
+        finer[s] = _slot(P, cfg.base_phase + s * sub, guesses, n_prime)
     return finer
 
 
@@ -477,29 +457,30 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     zero sheet to another; the report keeps the latest test.  Each level
     walks only the combinations of roots that passed there, in
     lexicographic order, and counts each by its rank among all
-    combinations.  The walk
-    stops after the first level that accepts a candidate, so a combination
-    that would first track at a deeper level counts as a tracking failure;
-    a search that accepts nothing walks every level.  With
-    ``cfg.early_stop`` the report ends at the first accepted combination of
-    the accepting level.  The best candidate is the accepted one with the
-    smallest sigma_gap (ties go to the lexicographically smallest
-    combination).  A run that accepts nothing returns an empty-best report
-    rather than raising.
+    combinations.  The walk stops after the first level that accepts a
+    candidate, so a combination that would first track at a deeper level
+    counts as a tracking failure; a search that accepts nothing walks
+    every level.  The rank test always runs on the sample points, the
+    ``u`` of the non-empty level-0 slices, and the report gives each one's
+    phase ``base_phase + s * phase_step`` from its slot s.  The best
+    candidate is the accepted one with the smallest sigma_gap (ties go to
+    the lexicographically smallest combination).  A run that accepts
+    nothing returns an empty-best report rather than raising.
     """
     m, n = cfg.blur_m, cfg.blur_n
     q = compute_q(m, n)
     try:
-        points, chain = choose_sample_points(q, cfg, P)
+        chain = choose_sample_points(q, cfg, P)
     except SamplingError as exc:
         log.info("sampling failed: %s", exc)
         return SearchReport(m, n, q, Axis.V, sampling_failed=True)
-    phases = tuple(pt.phase for pt in points)
     # Level 0 steps from slot to slot, level L in steps of phase_step / 2**L;
     # the sample points are the non-empty slots, at entries that double with
     # each level.
     anchors = [s for s, rs in enumerate(chain) if rs is not None]
+    phases = tuple(cfg.base_phase + s * cfg.phase_step for s in anchors)
     slices = [chain[a] for a in anchors]
+    points = [rs.u for rs in slices]
     n_prime = slices[0].count
     k = n - 1
     if n_prime < k:
@@ -532,16 +513,12 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
             sigma_min, sigma_second, xi = nullspace_min(A)
             cand = extract_blur(xi, m, n, q, cfg, sigma_min, sigma_second, combo)
             found[i], tested_on[i] = cand, track.tobytes()
-            if cand.accepted:
-                accepted = True
-                if cfg.early_stop:
-                    evaluated = i + 1
-                    break
+            accepted |= cand.accepted
         if accepted:
             log.debug("accepted at halving level %d", level)
             break
 
-    candidates = [found[i] for i in sorted(found) if i < evaluated]
+    candidates = [found[i] for i in sorted(found)]
     best: BlurCandidate | None = None
     for cand in candidates:
         if cand.accepted and (best is None or cand.sigma_gap < best.sigma_gap):

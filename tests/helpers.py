@@ -67,7 +67,6 @@ def candidates_equal(a, b) -> bool:
         and a.sigma_gap == b.sigma_gap
         and a.realness == b.realness
         and np.array_equal(a.h, b.h)
-        and np.array_equal(a.p, b.p)
     )
 
 

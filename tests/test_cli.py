@@ -523,17 +523,26 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert re.search(rf"^error: .*{message}", err, re.MULTILINE), err
 
-    def test_axis_is_neither_flag_nor_key(self, tmp_path, capsys):
-        # the search axis follows from the blur size and cannot be set
+    @pytest.mark.parametrize(
+        "flag, key, line",
+        [
+            # the search axis follows from the blur size and cannot be set
+            (["--axis", "u"], "axis", "axis = u"),
+            # the search ends only after the level that accepts
+            (["--early-stop"], "early_stop", "early_stop = true"),
+        ],
+        ids=["axis", "early_stop"],
+    )
+    def test_axis_is_neither_flag_nor_key(self, tmp_path, capsys, flag, key, line):
         with pytest.raises(SystemExit) as exc:
-            main(["search", "--input", "missing.pgm", "--blur", "2x2", "--axis", "u"])
+            main(["search", "--input", "missing.pgm", "--blur", "2x2", *flag])
         assert exc.value.code == 2
         cfg = tmp_path / "opts.cfg"
-        cfg.write_text("axis = u\n")
+        cfg.write_text(line + "\n")
         rc = main(["search", "--input", "missing.pgm", "--blur", "2x2",
                    "--output", str(tmp_path / "r"), "--config", str(cfg)])
         assert rc == EXIT_ERROR
-        assert "unknown config key 'axis'" in capsys.readouterr().err
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     def test_non_finite_report_value_raises(self, tmp_path):
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ from zerosheet import (
     ztransform,
 )
 import zerosheet.search
-from zerosheet.search import SamplePoint, _lex_rank, _track_chain
+from zerosheet.search import _lex_rank, _track_chain
 from zerosheet.zpoly import RootSlice
 
 
@@ -77,7 +77,6 @@ class TestSearchConfig:
         assert cfg.base_phase == 0.3 and cfg.phase_step == 0.01
         assert cfg.tol_null == 1e-6 and cfg.tol_real == 1e-6
         assert cfg.tol_track_ratio == 0.5 and cfg.max_combinations == 10**6
-        assert not cfg.early_stop
 
     def test_axis_v_needs_n_ge_2(self):
         # an m x 1 blur has no roots in v, so it builds and is searched along u
@@ -123,30 +122,29 @@ class TestChooseSamplePoints:
     def test_nominal_phases(self):
         img = synth_image(8, 8, 1)
         cfg = SearchConfig(blur_m=2, blur_n=2, base_phase=0.3, phase_step=0.01)
-        pts, _ = choose_sample_points(3, cfg, ztransform(img))
-        assert [round(p.phase, 10) for p in pts] == [0.3, 0.31, 0.32]
-        assert all(abs(abs(p.value) - 1.0) <= 1e-15 for p in pts)
+        chain = choose_sample_points(3, cfg, ztransform(img))
+        assert len(chain) == 3
+        for s, rs in enumerate(chain):
+            assert rs.u == unit_point(cfg.base_phase + s * cfg.phase_step)
 
     def test_degenerate_base_replaced(self):
         # a (1 + u) factor kills the slice at phase pi; the point moves on
         f = synth_image(10, 10, 3)
         g = convolve(f, Image([[1.0, 1.0], [1.0, 1.0]]))
         cfg = SearchConfig(blur_m=2, blur_n=2, base_phase=math.pi, phase_step=0.01)
-        pts, _ = choose_sample_points(4, cfg, ztransform(g))
-        assert pts[0].phase == pytest.approx(math.pi + 0.01)
-        assert len({round(p.phase, 12) for p in pts}) == 4
+        chain = choose_sample_points(4, cfg, ztransform(g))
+        assert chain[0] is None and len(chain) == 5
+        for s, rs in enumerate(chain[1:], 1):
+            assert rs.u == unit_point(cfg.base_phase + s * cfg.phase_step)
 
     def test_pairwise_distinct(self):
         img = synth_image(9, 7, 2)
-        pts, _ = choose_sample_points(5, SearchConfig(blur_m=3, blur_n=3), ztransform(img))
-        vals = [p.value for p in pts]
-        assert len({v for v in vals}) == 5
+        chain = choose_sample_points(5, SearchConfig(blur_m=3, blur_n=3), ztransform(img))
+        assert len({rs.u for rs in chain if rs is not None}) == 5
 
-    def test_unpolishable_slot_replaced(self, monkeypatch):
-        # a slot whose roots cannot be polished is skipped like a degenerate
-        # one, and the next slot takes its place
-        _, h, g = exact_model(seed=3, fw=12, fh=12, m=2, n=2)
-        cfg = SearchConfig(blur_m=2, blur_n=2)
+    @staticmethod
+    def skip_slot_1(monkeypatch, cfg):
+        """Make the roots of sample slot 1 fail to polish."""
         bad = unit_point(cfg.base_phase + cfg.phase_step)
         slice_roots_ = zerosheet.search.slice_roots
 
@@ -156,12 +154,38 @@ class TestChooseSamplePoints:
             return slice_roots_(P, u, guesses=guesses)
 
         monkeypatch.setattr(zerosheet.search, "slice_roots", failing)
+
+    def test_unpolishable_slot_replaced(self, monkeypatch):
+        # a slot whose roots cannot be polished is skipped like a degenerate
+        # one, and the next slot takes its place
+        _, h, g = exact_model(seed=3, fw=12, fh=12, m=2, n=2)
+        cfg = SearchConfig(blur_m=2, blur_n=2)
+        self.skip_slot_1(monkeypatch, cfg)
         rep = search_blur(ztransform(g), cfg)
         assert rep.sample_phases == tuple(
             cfg.base_phase + s * cfg.phase_step for s in (0, 2, 3, 4)
         )
         assert rep.best is not None
         assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(h)))) <= 1e-9
+
+    def test_rank_test_points_are_the_reported_phases(self, monkeypatch):
+        # the phases the report gives and the points of the slices the rank
+        # test runs on are the same points, also with slot 1 skipped
+        _, _, g = exact_model(seed=3, fw=12, fh=12, m=2, n=2)
+        cfg = SearchConfig(blur_m=2, blur_n=2)
+        self.skip_slot_1(monkeypatch, cfg)
+        build_system_ = zerosheet.search.build_system
+        seen = []
+
+        def recording(roots, points, m, n):
+            seen.append(points)
+            return build_system_(roots, points, m, n)
+
+        monkeypatch.setattr(zerosheet.search, "build_system", recording)
+        rep = search_blur(ztransform(g), cfg)
+        assert seen and rep.best is not None
+        want = [unit_point(p) for p in rep.sample_phases]
+        assert all(points == want for points in seen)
 
 
 def track_pair(prev, nxt, tol_track_ratio=0.5):
@@ -415,7 +439,7 @@ def ground_truth_track(g, h, q, base=0.3, step=0.01):
         gr = slice_roots(Pg, u).roots
         hr = slice_roots(Ph, u).roots
         idx = [int(np.argmin(np.abs(gr - r))) for r in hr]
-        points.append(SamplePoint(value=u, phase=base + j * step))
+        points.append(u)
         per_point.append(gr[idx])
     return per_point, points
 
@@ -444,16 +468,15 @@ class TestBuildSystem:
         for y in range(3):
             for x in range(2):
                 xi[y * 2 + x] = hm[x, y]
-        for j, pt in enumerate(points):
-            xi[6 + j] = sum(hm[x, 3 - 1] * pt.value**x for x in range(2))
+        for j, u in enumerate(points):
+            xi[6 + j] = sum(hm[x, 3 - 1] * u**x for x in range(2))
         xi /= np.linalg.norm(xi)
         sigma_max = np.linalg.norm(A, 2)
         assert np.max(np.abs(A @ xi)) <= 1e-8 * sigma_max
 
     def test_row_encoding(self):
         # row (j, y) carries u^x powers in the y-block and -c_y in column mn+j
-        pts = [SamplePoint(value=2.0 + 0j, phase=0.0)]
-        A = build_system([np.array([3.0 + 0j])], pts, 2, 2)
+        A = build_system([np.array([3.0 + 0j])], [2.0 + 0j], 2, 2)
         c = elementary_symmetric_coeffs([3.0 + 0j])
         assert A.shape == (2, 5)
         assert np.allclose(A[0], [1.0, 2.0, 0.0, 0.0, -c[0]])
@@ -580,14 +603,6 @@ class TestSearchBlur:
         assert [c.accepted for c in rep1.candidates] == [c.accepted for c in rep2.candidates]
         for a, b in zip(rep1.candidates, rep2.candidates):
             assert abs(a.sigma_gap - b.sigma_gap) <= 1e-10
-
-    def test_early_stop(self):
-        _, _, g = exact_model(seed=3, fw=12, fh=12, m=2, n=2)
-        cfg = SearchConfig(blur_m=2, blur_n=2, early_stop=True)
-        rep = search_blur(ztransform(g), cfg)
-        assert rep.best is not None
-        assert rep.candidates[-1].accepted
-        assert rep.combinations_evaluated <= rep.combinations_total
 
     def test_truncation_flag(self):
         _, _, g = exact_model(seed=5, fw=10, fh=10, m=2, n=2)
