@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -367,7 +368,10 @@ def _add_common(p: argparse.ArgumentParser, with_search_opts: bool = True) -> No
         p.add_argument("--max-combinations", dest="max_combinations", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="zerosheet",
         description="Find and remove convolution blurs via z-transform zero tracking.",

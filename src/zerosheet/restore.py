@@ -15,7 +15,10 @@ the answer.
 
 :func:`pipeline` is the one stage driver: each stage searches for one blur
 and restores it away, and a stage whose search accepts nothing ends the run
-with its report as the result.  :func:`remove_blur` is a one-stage pipeline.
+with its report as the result.  Since transforms multiply, the slice roots
+a stage solved, less the roots of the blur it removed, are the roots of the
+next stage's slices at the same points, and later stages start from them.
+:func:`remove_blur` is a one-stage pipeline.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import numpy as np
 
 from .errors import DegenerateBlurError, DivisionUnstableError, NoBlurFoundError
 from .image import Image, convolve, image_from_matrix
-from .search import BlurCandidate, SearchConfig, SearchReport, search_image
+from .search import Axis, BlurCandidate, SearchConfig, SearchReport, search_image
+from .zpoly import deflate_roots
 
 __all__ = [
     "RestoreMethod",
@@ -274,15 +278,22 @@ def pipeline(g: Image, sizes, cfg: SearchConfig) -> PipelineResult:
     the first stage that finds no blur and returns the stages completed so
     far together with the failing stage's index and search report.  Every
     stage's configuration is checked before the first search runs.
+
+    The slice roots of every stage are kept, one mapping per search axis
+    from sample point to roots.  After each stage, every entry loses the
+    roots of the blur just removed (see
+    :func:`zerosheet.zpoly.deflate_roots`), and later searches along the
+    same axis start their slices at those points from what is left.
     """
     stage_cfgs = [replace(cfg, blur_m=int(m), blur_n=int(n)) for m, n in sizes]
     if not stage_cfgs:
         raise ValueError("pipeline needs at least one blur size")
     current = g
     stages: list[StageResult] = []
+    known: dict[Axis, dict] = {Axis.V: {}, Axis.U: {}}
     for idx, stage_cfg in enumerate(stage_cfgs, start=1):
         t0 = time.perf_counter()
-        report = search_image(current, stage_cfg)
+        report = search_image(current, stage_cfg, known)
         if report.best is None:
             wall = (time.perf_counter() - t0) * 1e3
             log.info("pipeline stage %d (%dx%d) found no blur", idx,
@@ -307,4 +318,9 @@ def pipeline(g: Image, sizes, cfg: SearchConfig) -> PipelineResult:
             )
         )
         current = restoration.image
+        known[report.axis].update(report.slices)
+        # along U a search runs on the transposed image, whose blur is h.T
+        h = report.best.h
+        for axis, factor in ((Axis.V, h), (Axis.U, h.T)):
+            known[axis] = {u: deflate_roots(r, u, factor) for u, r in known[axis].items()}
     return PipelineResult(stages=stages, failed_stage=None, failure_report=None)

@@ -38,9 +38,11 @@ sample points costs no midpoint at all.
 Only the first sample slot is solved cold (Aberth from Newton-polygon
 guesses, see :func:`zerosheet.zpoly.find_roots`): every later slot starts
 from the roots of the last usable slot, and each midpoint from those of its
-coarser neighbour one sub-step away.  Every solve polishes to the same
-residual bound, so the rank test's inputs are those of a cold solve
-everywhere, up to round-off.
+coarser neighbour one sub-step away.  A caller that already knows roots of
+the transform at some sample points, as a pipeline does from its earlier
+stages, passes them in, and a slot at such a point starts from them
+instead.  Every solve meets the same residual bound, so the rank test's
+inputs are those of a cold solve everywhere, up to round-off.
 """
 
 from __future__ import annotations
@@ -161,7 +163,10 @@ class SearchReport:
 
     ``tracking_failures`` counts the evaluated combinations that tracked at
     no halving level the search walked; the walk ends at the first level
-    that accepts a candidate.
+    that accepts a candidate.  ``slices`` maps each sample point and
+    midpoint of the deepest chain the search built to the roots solved
+    there, for a later search of the same image with a factor divided out;
+    reports do not serialize it.
     """
 
     blur_m: int
@@ -177,6 +182,7 @@ class SearchReport:
     tracking_failures: int = 0
     truncated: bool = False
     sampling_failed: bool = False
+    slices: dict[complex, np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def compute_q(m: int, n: int) -> int:
@@ -196,29 +202,38 @@ def compute_q(m: int, n: int) -> int:
     return -(-m * n // (n - 1))
 
 
-def _slot(P: BivariatePoly, phase: float, guesses, n_prime: int | None) -> RootSlice | None:
-    """The slice at the unit-circle point of ``phase`` if it is usable: not
-    the zero polynomial, its roots polished from ``guesses`` (or cold when
-    None), and ``n_prime`` of them (any number while that is None).  None
+def _slot(
+    P: BivariatePoly, phase: float, guesses, n_prime: int | None, known
+) -> RootSlice | None:
+    """The slice at the unit-circle point u of ``phase`` if it is usable: not
+    the zero polynomial, its roots polished from ``known[u]`` when the
+    mapping ``known`` holds u, else from ``guesses`` (or cold when None),
+    and ``n_prime`` of them (any number while that is None).  None
     otherwise."""
+    u = unit_point(phase)
+    if known and u in known:
+        guesses = known[u]
     try:
-        rs = slice_roots(P, unit_point(phase), guesses=guesses)
+        rs = slice_roots(P, u, guesses=guesses)
     except (ZeroPolynomialError, RootFindingError):
         return None
     return rs if n_prime is None or rs.count == n_prime else None
 
 
-def choose_sample_points(q: int, cfg: SearchConfig, P: BivariatePoly) -> list[RootSlice | None]:
+def choose_sample_points(
+    q: int, cfg: SearchConfig, P: BivariatePoly, known=None
+) -> list[RootSlice | None]:
     """Pick q usable unit-circle points near the base phase.
 
     Slot s lies at phase ``base_phase + s * phase_step``.  The first slot
     is solved cold, every later one warm from the roots of the last usable
-    slot (see :func:`zerosheet.zpoly.find_roots`), and a slot is usable
-    when it has as many roots as the first usable one (see :func:`_slot`).
-    Each point takes the next usable slot, after at most eight unusable
-    ones.  Returns the level-0 tracking chain: the slice of every slot up
-    to the last point, None where a slot was unusable.  The sample points
-    are the ``u`` of its non-empty slices.
+    slot (see :func:`zerosheet.zpoly.find_roots`), but a slot whose point
+    the mapping ``known`` holds starts from the roots it maps to.  A slot
+    is usable when it has as many roots as the first usable one (see
+    :func:`_slot`).  Each point takes the next usable slot, after at most
+    eight unusable ones.  Returns the level-0 tracking chain: the slice of
+    every slot up to the last point, None where a slot was unusable.  The
+    sample points are the ``u`` of its non-empty slices.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -228,7 +243,7 @@ def choose_sample_points(q: int, cfg: SearchConfig, P: BivariatePoly) -> list[Ro
     for j in range(1, q + 1):
         for _ in range(_MAX_REPLACEMENTS + 1):
             phase = cfg.base_phase + len(chain) * cfg.phase_step
-            rs = _slot(P, phase, guesses, n_prime)
+            rs = _slot(P, phase, guesses, n_prime, known)
             chain.append(rs)
             if rs is not None:
                 n_prime, guesses = rs.count, rs.roots
@@ -419,15 +434,17 @@ def _refine(
     chain: list[RootSlice | None],
     first: int,
     level: int,
+    known,
 ) -> list[RootSlice | None]:
     """The chain of halving level ``level``, built from that of level - 1.
 
     Entry s of the result lies at phase ``base_phase + s * (phase_step /
     2**level)``.  Its even entries are the coarser ``chain``; each odd entry
     after the first sample point (entry ``first`` of ``chain``) is a
-    midpoint, warm-started from the roots of the entry before it, or of the
-    entry after it when that one is empty.  Midpoints that are not usable
-    (see :func:`_slot`) stay empty.
+    midpoint, warm-started from its roots in the mapping ``known``, else
+    from the roots of the entry before it, or of the entry after it when
+    that one is empty.  Midpoints that are not usable (see :func:`_slot`)
+    stay empty.
     """
     n_prime = chain[first].count
     finer: list[RootSlice | None] = [None] * (2 * len(chain) - 1)
@@ -436,11 +453,11 @@ def _refine(
     for s in range(2 * first + 1, len(finer), 2):
         neighbour = finer[s - 1] if finer[s - 1] is not None else finer[s + 1]
         guesses = None if neighbour is None else neighbour.roots
-        finer[s] = _slot(P, cfg.base_phase + s * sub, guesses, n_prime)
+        finer[s] = _slot(P, cfg.base_phase + s * sub, guesses, n_prime, known)
     return finer
 
 
-def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
+def search_blur(P: BivariatePoly, cfg: SearchConfig, known=None) -> SearchReport:
     """Search the transform for a blur_m x blur_n blur along v.
 
     A blur with blur_n < 2 has no roots in v, so :func:`compute_q`
@@ -466,11 +483,16 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     candidate is the accepted one with the smallest sigma_gap (ties go to
     the lexicographically smallest combination).  A run that accepts
     nothing returns an empty-best report rather than raising.
+
+    ``known`` optionally maps sample points u to roots of P's slices there,
+    or of a nearby transform's; each slice at such a point starts from them
+    (see :func:`_slot`).  Good ones save a solve's iterations, bad ones
+    cost only the cold solve they replace.
     """
     m, n = cfg.blur_m, cfg.blur_n
     q = compute_q(m, n)
     try:
-        chain = choose_sample_points(q, cfg, P)
+        chain = choose_sample_points(q, cfg, P, known)
     except SamplingError as exc:
         log.info("sampling failed: %s", exc)
         return SearchReport(m, n, q, Axis.V, sampling_failed=True)
@@ -496,7 +518,7 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
     tested_on: dict[int, bytes] = {}
     for level in range(_MAX_HALVINGS + 1):
         if level:
-            chain = _refine(P, cfg, chain, anchors[0], level)
+            chain = _refine(P, cfg, chain, anchors[0], level, known)
             anchors = [2 * a for a in anchors]
         at_anchors, ok = _track_chain(anchors, chain, cfg.tol_track_ratio)
         accepted = False
@@ -540,10 +562,11 @@ def search_blur(P: BivariatePoly, cfg: SearchConfig) -> SearchReport:
         combinations_evaluated=evaluated,
         tracking_failures=evaluated - len(candidates),
         truncated=total > cfg.max_combinations,
+        slices={rs.u: rs.roots for rs in chain if rs is not None},
     )
 
 
-def search_image(img: Image, cfg: SearchConfig) -> SearchReport:
+def search_image(img: Image, cfg: SearchConfig, known=None) -> SearchReport:
     """Search an image for a blur along the kernel's longer side.
 
     An m x n blur has n - 1 roots in v and m - 1 in u, and the axis with
@@ -553,11 +576,17 @@ def search_image(img: Image, cfg: SearchConfig) -> SearchReport:
     blur; candidate matrices in the returned report are transposed back
     to the caller's (blur_m, blur_n) orientation, and combination indices
     then refer to base-slice roots of the transposed image.
+
+    ``known`` optionally maps each axis to the slice roots already known
+    along it, keyed by sample point, and the search passes on those of its
+    axis (see :func:`search_blur`); U's are those of the transposed image.
+    The report's ``slices`` are along its ``axis`` in the same sense.
     """
+    known = known or {}
     if cfg.blur_m <= cfg.blur_n:
-        return search_blur(ztransform(img), cfg)
+        return search_blur(ztransform(img), cfg, known.get(Axis.V))
     cfg_v = replace(cfg, blur_m=cfg.blur_n, blur_n=cfg.blur_m)
-    rep = search_blur(ztransform(transpose(img)), cfg_v)
+    rep = search_blur(ztransform(transpose(img)), cfg_v, known.get(Axis.U))
     candidates = [replace(c, h=c.h.T.copy()) for c in rep.candidates]
     best = None
     if rep.best is not None:

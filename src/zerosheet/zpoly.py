@@ -35,6 +35,7 @@ __all__ = [
     "slice_in_v",
     "find_roots",
     "slice_roots",
+    "deflate_roots",
     "residual_scale",
     "elementary_symmetric_coeffs",
     "unit_point",
@@ -151,39 +152,42 @@ def residual_scale(coeffs: np.ndarray, z):
 
 
 def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of p, Newton-polished, in deterministic order.
+    """All roots of p, each within the relative residual bound, in
+    deterministic order.
 
-    Initial estimates come from Aberth iterations (see :func:`_aberth`),
-    started from ``guesses`` when they are given (the roots of a nearby
-    polynomial) and, when there are none or that run fails one of its
-    guards, from the Newton-polygon guesses of :func:`_polygon_guesses`.
-    Bad guesses thus lead to exactly the solve of a call without them.
-    Only when both runs fail do the companion-matrix eigenvalues serve, at
-    O(d^3) cost against O(d^2) per Aberth step: as a third Aberth start,
-    whose repulsion keeps two estimates from polishing into one root, and
-    as they are when that run fails too.  All estimates are then
-    polished together by Newton iteration on the original coefficients
-    until the relative residual ``|p(root)| / sum_y |a_y| |root|^y`` is at
-    most ``ROOT_TOL``.  Aberth and Newton evaluate it at 1/root outside the
-    unit circle (see :func:`_evaluate`), so no root is out of range.
+    The roots come from Aberth iterations (see :func:`_aberth`), started
+    from ``guesses`` when they are given (the roots of a nearby polynomial)
+    and, when there are none or that run fails one of its guards, from the
+    Newton-polygon guesses of :func:`_polygon_guesses`.  Bad guesses thus
+    lead to exactly the solve of a call without them.  Only when both runs
+    fail do the companion-matrix eigenvalues serve, at O(d^3) cost against
+    O(d^2) per Aberth step: as a third Aberth start, whose repulsion keeps
+    two estimates from polishing into one root, and, when that run fails
+    too, polished together by Newton iteration on the original
+    coefficients (see :func:`_polish`).  The bound is on the relative
+    residual ``|p(root)| / sum_y |a_y| |root|^y``, at most ``ROOT_TOL``;
+    Aberth and Newton evaluate it at 1/root outside the unit circle (see
+    :func:`_evaluate`), so no root is out of range.  A double root needs no
+    eigenvalues: Aberth meets the bound with its two halves about
+    sqrt(``ROOT_TOL``) apart.
     Returns (roots, relative residuals) sorted by real part, then imaginary
     part; raises :class:`RootFindingError` if any root misses the bound or
-    the polished roots, whichever start they came from, do not sum to
+    the roots, whichever start they came from, do not sum to
     -a_{d-1} / a_d (Vieta): small residuals alone do not make a root set.
     """
     d = p.effective_degree
     if d < 1:
         raise ValueError("find_roots requires effective degree >= 1")
     basis = _coeff_rows(p.coeffs)
-    start = None if guesses is None else _aberth(basis, guesses, ROOT_TOL)
-    if start is None:
-        start = _aberth(basis, _polygon_guesses(p.coeffs), ROOT_TOL)
-    if start is None:
+    found = None if guesses is None else _aberth(basis, guesses, ROOT_TOL)
+    if found is None:
+        found = _aberth(basis, _polygon_guesses(p.coeffs), ROOT_TOL)
+    if found is None:
         eigen = np.roots(p.coeffs[::-1])
-        start = _aberth(basis, eigen, ROOT_TOL)
-        if start is None:
-            start = eigen
-    roots, residuals = _polish(basis, start, ROOT_TOL)
+        found = _aberth(basis, eigen, ROOT_TOL)
+        if found is None:
+            found = _polish(basis, eigen, ROOT_TOL)
+    roots, residuals = found
     if not (residuals <= ROOT_TOL).all():
         raise RootFindingError(
             f"root polishing stalled at relative residual {residuals.max():.3e} "
@@ -198,17 +202,19 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     return roots[order], residuals[order]
 
 
-def _aberth(basis, guesses, tol_root: float) -> np.ndarray | None:
+def _aberth(basis, guesses, tol_root: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Simultaneous Aberth-Ehrlich iteration from ``guesses``.
 
     Each step moves every root z_k that has not yet met the relative
     residual bound twice in a row by N_k / (1 - N_k S_k), with the Newton
     step N_k = p(z_k) / p'(z_k) (both from :func:`_evaluate`) and the
-    repulsion S_k = sum_{j != k} 1 / (z_k - z_j), at O(d^2) cost.  Returns
-    the roots once all meet the bound, or None when the guesses are not
-    one finite estimate per root, an iterate turns non-finite, the bound is
-    still missed after ``_ABERTH_MAX_ITER`` steps, two results lie closer
-    than ``CLUSTER_TOL``, or their sum misses -a_{d-1} / a_d (Vieta).
+    repulsion S_k = sum_{j != k} 1 / (z_k - z_j), at O(d^2) cost.  Once all
+    meet the bound, returns the roots and each one's relative residual
+    from its last evaluation, which was at its final position: a root stops
+    unmoved.  Returns None when the guesses are not one finite estimate per
+    root, an iterate turns non-finite, the bound is still missed after
+    ``_ABERTH_MAX_ITER`` steps, or the roots' sum misses -a_{d-1} / a_d
+    (Vieta), as it does when two estimates converged onto one simple root.
     """
     coeffs = basis[0][0]
     d = len(coeffs) - 1
@@ -217,10 +223,12 @@ def _aberth(basis, guesses, tol_root: float) -> np.ndarray | None:
         return None
     active = np.arange(d)
     met = np.zeros(d, dtype=bool)
+    residuals = np.empty(d)
     with np.errstate(all="ignore"):
         for it in range(_ABERTH_MAX_ITER + 1):
             za = z[active]
             residual, newton = _evaluate(basis, za)
+            residuals[active] = residual
             ok = residual <= tol_root
             # a root stops once it meets the bound both before and after one
             # more step, which leaves it accurate to about round-off
@@ -241,9 +249,9 @@ def _aberth(basis, guesses, tol_root: float) -> np.ndarray | None:
             z[active] = za - newton / (1.0 - newton * repulsion)
             if not np.isfinite(z[active]).all():
                 return None
-    if _min_separation(z) < CLUSTER_TOL or not _vieta_holds(coeffs, z):
+    if not _vieta_holds(coeffs, z):
         return None
-    return z
+    return z, residuals
 
 
 def _vieta_holds(coeffs: np.ndarray, z: np.ndarray) -> bool:
@@ -430,6 +438,24 @@ def _slopes(P: BivariatePoly, u: complex, coeffs: np.ndarray, roots: np.ndarray)
     g_u, g_v = np.where(out, vals[2:], vals[:2])
     with np.errstate(divide="ignore", invalid="ignore"):
         return -np.where(out, roots, 1.0) * g_u / g_v
+
+
+def deflate_roots(roots: np.ndarray, u: complex, factor: np.ndarray) -> np.ndarray:
+    """The roots in v at u that remain once a factor of the transform is
+    divided out.
+
+    ``factor[x, y]`` holds the factor's coefficients (x along u, y along v),
+    so its slice at u has the n - 1 roots of b_y = sum_x factor[x, y] u^x.
+    Since transforms multiply, those roots sit among ``roots``: the n - 1
+    at which b is smallest relative to sum_y |b_y| |v|^y are dropped, and
+    the rest keep their order.  A small factor's powers v^y stay far from
+    overflow, so they are formed directly.
+    """
+    n = factor.shape[1]
+    b = _powers(complex(u), factor.shape[0]) @ factor
+    pows = roots[:, None] ** np.arange(n)
+    residual = np.abs(pows @ b) / (np.abs(pows) @ np.abs(b))
+    return np.delete(roots, np.argsort(residual, kind="stable")[: n - 1])
 
 
 def elementary_symmetric_coeffs(gammas) -> np.ndarray:

@@ -26,12 +26,13 @@ def protocol_config(m: int = 2, n: int = 2, **overrides) -> SearchConfig:
     return SearchConfig(**kw)
 
 
-def protocol_data():
-    """(true image, blur kernels, observed image) of the fixed protocol."""
+def protocol_data(sizes=PROTOCOL_SIZES):
+    """(true image, blur kernels, observed image) of the fixed protocol, or
+    of the same sharp image with blurs of other sizes drawn the same way."""
     truth = synth_image(40, 40, PROTOCOL_SEED)
     blurs = [
         synth_blur(m, n, PROTOCOL_SEED + 1000 * i)
-        for i, (m, n) in enumerate(PROTOCOL_SIZES, start=1)
+        for i, (m, n) in enumerate(sizes, start=1)
     ]
     observed = truth
     for blur in blurs:

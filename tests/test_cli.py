@@ -471,6 +471,37 @@ class TestConfigPrecedence:
             main(["search", "--input", "missing.pgm", "--blur", "2x2", "--threads", "2"])
         assert exc.value.code == 2
 
+    def test_consecutive_commands_parse_only_their_own_flags(self, tmp_path, monkeypatch):
+        # one parser serves every main call in a process, so nothing that one
+        # call parsed may reach the next
+        assert build_parser() is build_parser()
+        main(synth_args(tmp_path / "d", width=14, height=14))
+        inp = str(tmp_path / "d" / "convolved.csv")
+        parsed = []
+        resolve = zerosheet.cli._resolve
+        monkeypatch.setattr(
+            zerosheet.cli, "_resolve", lambda ns: parsed.append(vars(ns).copy()) or resolve(ns)
+        )
+        runs = {
+            "deblur": ["--blur", "2x2", "--tol-null", "1e-7", "--maxval", "1000"],
+            "pipeline": ["--sizes", "2x2"],
+            "roots": ["--points", "2"],
+        }
+        for command, flags in runs.items():
+            argv = [command, "--input", inp, "--output", str(tmp_path / command), *flags]
+            assert main(argv) == EXIT_OK
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        given = {
+            "deblur": {"blur": (2, 2), "tol_null": 1e-7, "maxval": 1000},
+            "pipeline": {"sizes": [(2, 2)]},
+            "roots": {"points": 2},
+        }
+        for (command, own), ns in zip(given.items(), parsed):
+            dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+            assert set(ns) == dests | {"command", "func"}
+            values = {k: v for k, v in ns.items() if v is not None and k not in ("command", "func")}
+            assert values == {"input": inp, "output": str(tmp_path / command), **own}
+
     @pytest.mark.parametrize("command", ["search", "deblur", "pipeline"])
     def test_one_flag_per_search_knob(self, command):
         parser = build_parser()

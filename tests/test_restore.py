@@ -4,9 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import exact_model, images_close, protocol_config, unit_sum
+from helpers import (
+    PROTOCOL_SIZES,
+    exact_model,
+    images_close,
+    protocol_config,
+    protocol_data,
+    unit_sum,
+)
 import zerosheet.restore
+import zerosheet.search
+import zerosheet.zpoly
 from zerosheet import (
+    Axis,
     AxisError,
     DegenerateBlurError,
     DivisionUnstableError,
@@ -20,6 +30,7 @@ from zerosheet import (
     pipeline,
     remove_blur,
     restore_with_fallback,
+    search_image,
     spectral_restore,
     synth_blur,
     synth_image,
@@ -361,3 +372,78 @@ class TestPipeline:
         f, h, g = exact_model(seed=6, fw=12, fh=12, m=2, n=2)
         result = pipeline(g, [(2, 2)], SearchConfig(blur_m=2, blur_n=2))
         assert result.final_image is result.stages[-1].restoration.image
+
+
+# The protocol's order and one that scans u in its middle stage.
+AXIS_CHANGE_SIZES = [(2, 2), (3, 2), (2, 3)]
+
+
+def record_solves(monkeypatch) -> list[dict]:
+    """Patch the solver so that every search the pipeline starts appends a
+    record of its input image, the points it sliced and the points it
+    solved from Newton-polygon starts.  Appending a record by hand before a
+    standalone search charges its solves to that record."""
+    records: list[dict] = []
+    point = []
+    slice_roots = zerosheet.search.slice_roots
+    polygon_guesses = zerosheet.zpoly._polygon_guesses
+    pipeline_search = zerosheet.restore.search_image
+
+    def slicing(P, u, **kwargs):
+        point[:] = [u]
+        records[-1]["sliced"].add(u)
+        return slice_roots(P, u, **kwargs)
+
+    def polygon(coeffs):
+        records[-1]["cold"].append(point[0])
+        return polygon_guesses(coeffs)
+
+    def searching(img, cfg, known=None):
+        records.append(new_record(img))
+        return pipeline_search(img, cfg, known)
+
+    monkeypatch.setattr(zerosheet.search, "slice_roots", slicing)
+    monkeypatch.setattr(zerosheet.zpoly, "_polygon_guesses", polygon)
+    monkeypatch.setattr(zerosheet.restore, "search_image", searching)
+    return records
+
+
+def new_record(img) -> dict:
+    return {"input": img, "sliced": set(), "cold": []}
+
+
+class TestStageReuse:
+    """Later stages start their slices from the roots earlier stages solved,
+    less those of the blurs removed since."""
+
+    @pytest.mark.parametrize("sizes", [PROTOCOL_SIZES, AXIS_CHANGE_SIZES], ids=["v", "v-u-v"])
+    def test_each_stage_matches_its_standalone_search(self, monkeypatch, sizes):
+        records = record_solves(monkeypatch)
+        result = pipeline(protocol_data(sizes)[2], sizes, protocol_config())
+        assert result.ok and len(records) == 3
+        for (m, n), stage, record in zip(sizes, result.stages, records):
+            alone = search_image(record["input"], protocol_config(m, n))
+            assert stage.report.sample_phases == alone.sample_phases
+            assert stage.candidate.combination == alone.best.combination
+            assert np.abs(stage.candidate.h - alone.best.h).max() <= 1e-12
+
+    def test_later_stages_start_cold_only_at_new_points(self, monkeypatch):
+        records = record_solves(monkeypatch)
+        assert pipeline(protocol_data()[2], PROTOCOL_SIZES, protocol_config()).ok
+        first, second, third = records
+        assert first["cold"]
+        # stage 2 (q = 3) samples a subset of stage 1's points (q = 4)
+        assert second["cold"] == []
+        assert not set(third["cold"]) & (first["sliced"] | second["sliced"])
+
+    def test_a_stage_along_the_other_axis_reuses_nothing(self, monkeypatch):
+        # stage 2 scans u after a stage that scanned v: the roots kept so far
+        # are in v, so it solves exactly as a search of its input alone does
+        records = record_solves(monkeypatch)
+        result = pipeline(protocol_data(AXIS_CHANGE_SIZES)[2], AXIS_CHANGE_SIZES,
+                          protocol_config())
+        assert [s.report.axis for s in result.stages] == [Axis.V, Axis.U, Axis.V]
+        in_pipeline = records[1]["cold"]
+        records.append(new_record(records[1]["input"]))
+        search_image(records[1]["input"], protocol_config(3, 2))
+        assert in_pipeline and records[-1]["cold"] == in_pipeline

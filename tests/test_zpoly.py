@@ -13,16 +13,21 @@ from zerosheet import (
     RootFindingError,
     UniPoly,
     ZeroPolynomialError,
+    convolve,
+    deflate_roots,
     elementary_symmetric_coeffs,
     find_roots,
+    matrix_from_image,
     slice_in_v,
     slice_roots,
+    synth_blur,
     synth_image,
     unit_point,
     ztransform,
 )
 from zerosheet.zpoly import (
     _NEWTON_MAX_ITER,
+    CLUSTER_TOL,
     ROOT_TOL,
     BivariatePoly,
     _coeff_rows,
@@ -253,12 +258,21 @@ class TestWarmStart:
     def test_double_root_clustered_cold_and_warm(self):
         # the halves of a double root may split by up to about sqrt(ROOT_TOL)
         # and still meet the bound, so the flag holds whichever start the
-        # solve took: the Newton-polygon start splits this pair by 1.0e-5
-        g = np.array([0.5, 0.5, -1.0])
-        P = BivariatePoly(elementary_symmetric_coeffs(g).reshape(1, -1))
-        moved = g * (1 + 1e-3 * np.exp(2j * np.pi * np.arange(3) / 3))
-        assert slice_roots(P, 0.7).clustered
-        assert slice_roots(P, 0.7, guesses=moved).clustered
+        # solve took, and Aberth's result stands without an eigenvalue solve:
+        # (v - 0.5)^2 (v + 1), alone and with 20 random roots of modulus 1.5-3
+        rng = np.random.default_rng(4)
+        for extra in (0, 20):
+            far = rng.uniform(1.5, 3.0, extra) * np.exp(2j * np.pi * rng.random(extra))
+            g = np.concatenate([[0.5, 0.5, -1.0], far])
+            P = BivariatePoly(elementary_symmetric_coeffs(g).reshape(1, -1))
+            moved = g * (1 + 1e-3 * np.exp(2j * np.pi * np.arange(len(g)) / len(g)))
+            patch, eigen = count_eigen_solves()
+            with patch:
+                solved = [slice_roots(P, 0.7), slice_roots(P, 0.7, guesses=moved)]
+            assert eigen == []
+            for rs in solved:
+                assert rs.clustered
+                assert np.abs(rs.roots[:, None] - g[None, :]).min(axis=0).max() <= CLUSTER_TOL
 
 
 def horner_pair(coeffs, z):
@@ -393,18 +407,22 @@ class TestPolish:
         # the exact roots of the 2.5e-3 slice pass one evaluation, but any one
         # root outside the unit circle moved by 1e-6 relative must miss the
         # bound, the largest (|z| ~ 304, where sum_y |a_y| |z|^y overflows)
-        # included; the start is injected in place of the Aberth run
+        # included; each root set is injected in place of the Aberth run,
+        # with the residuals of its one evaluation
         P, u = dim_row_transform(2.5e-3), unit_point(0.3)
         p, roots = slice_in_v(P, u), slice_roots(P, u).roots
-        monkeypatch.setattr(zerosheet.zpoly, "_NEWTON_MAX_ITER", 0)
-        monkeypatch.setattr(zerosheet.zpoly, "_aberth", lambda basis, guesses, tol: roots)
+
+        def inject(z):
+            return lambda basis, guesses, tol: (z, _evaluate(basis, z)[0])
+
+        monkeypatch.setattr(zerosheet.zpoly, "_aberth", inject(roots))
         find_roots(p)
         outside = np.flatnonzero(np.abs(roots) > 1)
         assert np.abs(roots[outside]).max() > 300
         for k in outside:
             moved = roots.copy()
             moved[k] *= 1 + 1e-6
-            monkeypatch.setattr(zerosheet.zpoly, "_aberth", lambda basis, guesses, tol: moved)
+            monkeypatch.setattr(zerosheet.zpoly, "_aberth", inject(moved))
             with pytest.raises(RootFindingError):
                 find_roots(p)
 
@@ -468,7 +486,7 @@ class TestVietaGuard:
         basis = _coeff_rows(p.coeffs)
         with monkeypatch.context() as patched:
             patched.setattr(zerosheet.zpoly, "_VIETA_TOL", np.inf)
-            pseudo = zerosheet.zpoly._aberth(basis, _polygon_guesses(p.coeffs), ROOT_TOL)
+            pseudo, _ = zerosheet.zpoly._aberth(basis, _polygon_guesses(p.coeffs), ROOT_TOL)
         assert np.abs(pseudo).max() > 1.7 > np.exp(0.2)
         residuals, _ = _evaluate(basis, pseudo)
         assert residuals.max() <= ROOT_TOL
@@ -496,6 +514,20 @@ class TestVietaGuard:
         monkeypatch.setattr(np, "roots", lambda c: eigen.copy())
         found, _ = find_roots(p)
         assert np.allclose(np.sort_complex(found), np.sort_complex(roots), rtol=0, atol=1e-12)
+
+
+class TestDeflateRoots:
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 1)])
+    def test_leaves_the_roots_of_the_other_factor(self, m, n):
+        # the slice of f * h at u holds f's roots and h's n - 1; dividing h
+        # out leaves f's, whichever order they come in
+        f, h = synth_image(12, 12, 5), synth_blur(m, n, 77)
+        u = unit_point(0.3)
+        blurred = slice_roots(ztransform(convolve(f, h)), u).roots
+        sharp = slice_roots(ztransform(f), u).roots
+        left = deflate_roots(blurred[::-1], u, matrix_from_image(h))
+        assert len(blurred) == len(sharp) + n - 1 and len(left) == len(sharp)
+        assert np.abs(left[:, None] - sharp[None, :]).min(axis=0).max() <= 1e-9
 
 
 class TestElementarySymmetric:
