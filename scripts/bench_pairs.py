@@ -5,8 +5,10 @@ Runs ``zsbench/run.py`` from a parent checkout and from a changed checkout,
 N pairs per workload, the parent first in odd pairs and the change first in
 even ones, then one traced run per side.  Writes every run and a summary to
 one JSON file: per end-to-end metric, each side's median and quartiles, the
-number of pairs the change won (ties count for neither) and the relative
-change of the median.  Each side runs its own ``zsbench/`` unchanged.
+number of pairs the change won (ties count for neither), the relative
+change of the median, and whether the change met a claimed gain and stayed
+within the metric's bound (see :func:`summarize`).  Each side runs its own
+``zsbench/`` unchanged.
 
 Usage, from any directory:
 
@@ -14,7 +16,11 @@ Usage, from any directory:
         --runs fallback=10,protocol=3,large=3 --out BENCH_N.json \\
         --note "what the change does"
 
-The parent checkout can be a ``git worktree`` of the parent commit.
+Make both checkouts with ``git worktree`` or ``git archive``, not ``cp -r``:
+a copy carries its source's ``__pycache__``, and where
+``PYTHONDONTWRITEBYTECODE=1`` is set, every fresh interpreter finds those
+files stale, compiles the sources again and cannot replace them, which
+adds about 20 ms to that side's ``setup_s``.
 """
 
 from __future__ import annotations
@@ -65,13 +71,22 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload and end-to-end metric: both sides' median and quartiles,
-    pairs won by the change and the median's relative change.
+    pairs won by the change, the median's relative change, and two verdicts:
+
+    - ``claim_met``: the change won at least 9 of 10 pairs and its median is
+      better than the parent's by more than the parent's interquartile range;
+    - ``within_bound``: the change's median is worse than the parent's by at
+      most the metric's relative bound.  When the parent's interquartile
+      range, relative to its median, is wider than the bound, that cannot
+      be told: it is ``"unresolved"``, unless every run of the change reads
+      better than every run of the parent.
 
     ``runs`` holds records with ``workload``, ``pair``, ``side``, ``trace``
     and ``result`` (the benchmark's JSON line, or None); ``better`` maps a
-    metric to ``"lower"`` or ``"higher"``.  Traced runs are left out.
+    metric to ``"lower"`` or ``"higher"`` and ``bounds`` to its relative
+    bound.  Traced runs are left out.
     """
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -92,6 +107,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             sign = 1.0 if sense == "lower" else -1.0
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = _spread(values["parent"]), _spread(values["change"])
+            iqr = parent["q3"] - parent["q1"]
+            gain = sign * (parent["median"] - change["median"])
             entry[name] = {
                 "unit": measured[0]["parent"]["metrics"][name]["unit"],
                 "better": sense,
@@ -99,7 +116,16 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change": change,
                 "change_wins": f"{wins}/{len(measured)}",
                 "median_change_rel": change["median"] / parent["median"] - 1.0,
+                "claim_met": 10 * wins >= 9 * len(measured) and gain > iqr,
             }
+            if name in bounds:
+                bound = bounds[name] * abs(parent["median"])
+                if iqr <= bound:
+                    entry[name]["within_bound"] = -gain <= bound
+                else:
+                    apart = max(sign * c for c in values["change"]) < min(
+                        sign * p for p in values["parent"])
+                    entry[name]["within_bound"] = True if apart else "unresolved"
         results = {side: [r["result"] for r in timed if r["side"] == side]
                    for side in ("parent", "change")}
         entry["failed_share"] = {
@@ -143,6 +169,7 @@ def main() -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     runs: list[dict] = []
     for workload, count in args.runs:
         for pair in range(1, count + 1):
@@ -165,7 +192,7 @@ def main() -> int:
         "machine": (f"{os.cpu_count()}-core {platform.machine()}, Python "
                     f"{platform.python_version()}"),
         "protocol": PROTOCOL,
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
         "traced_per_operation": traced(runs),
         "runs": runs,
     }

@@ -17,7 +17,8 @@ transpose of the image pixel layout.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "find_roots",
     "slice_roots",
     "deflate_roots",
-    "residual_scale",
     "elementary_symmetric_coeffs",
     "unit_point",
 ]
@@ -60,9 +60,11 @@ _VIETA_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class BivariatePoly:
-    """Polynomial sum of ``coeffs[x, y] * u**x * v**y``."""
+    """Polynomial sum of ``coeffs[x, y] * u**x * v**y``; ``scale`` is the
+    largest coefficient magnitude."""
 
     coeffs: np.ndarray
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128)
@@ -72,6 +74,7 @@ class BivariatePoly:
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "scale", float(np.max(np.abs(arr))))
 
 
 def ztransform(img: Image) -> BivariatePoly:
@@ -127,7 +130,7 @@ def slice_in_v(P: BivariatePoly, u: complex) -> UniPoly:
         raise ValueError("sample point u must be finite")
     m = P.coeffs.shape[0]
     a = _powers(u, m) @ P.coeffs
-    grid_scale = float(np.max(np.abs(P.coeffs))) * max(1.0, abs(u)) ** (m - 1)
+    grid_scale = P.scale * max(1.0, abs(u)) ** (m - 1)
     scale = float(np.max(np.abs(a)))
     if scale <= TRIM_TOL * grid_scale:
         raise ZeroPolynomialError(
@@ -137,18 +140,6 @@ def slice_in_v(P: BivariatePoly, u: complex) -> UniPoly:
     while d >= 0 and abs(a[d]) <= TRIM_TOL * scale:
         d -= 1
     return UniPoly(a[: d + 1])
-
-
-def residual_scale(coeffs: np.ndarray, z):
-    """Evaluation magnitude ``sum_y |a_y| |z|^y``, the smallest scale at which
-    a Horner residual at z is meaningful in double precision.  z may be a
-    scalar or an array of points.  The solvers do not use it (they take the
-    relative residual from :func:`_evaluate`); it is the reference scale
-    against which tests check roots by plain Horner evaluation."""
-    r, scale = np.abs(z), 0.0
-    for m in np.abs(coeffs)[::-1]:
-        scale = scale * r + m
-    return scale
 
 
 def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
@@ -170,6 +161,11 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     :func:`_evaluate`), so no root is out of range.  A double root needs no
     eigenvalues: Aberth meets the bound with its two halves about
     sqrt(``ROOT_TOL``) apart.
+    k exact zero low-order coefficients a_0 .. a_{k-1} are a k-fold root at
+    0, returned exactly with residual 0: the other roots are those of a_k ..
+    a_d, solved as above from the guesses less their k smallest in modulus.
+    (Left in, the k starts at 0 would make Aberth's repulsion 0 / 0 and send
+    the solve to the eigenvalues.)
     Returns (roots, relative residuals) sorted by real part, then imaginary
     part; raises :class:`RootFindingError` if any root misses the bound or
     the roots, whichever start they came from, do not sum to
@@ -178,12 +174,27 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     d = p.effective_degree
     if d < 1:
         raise ValueError("find_roots requires effective degree >= 1")
-    basis = _coeff_rows(p.coeffs)
+    k = int(np.argmax(p.coeffs != 0))
+    roots, residuals = np.zeros(k, dtype=np.complex128), np.zeros(k)
+    if k < d:
+        if k and guesses is not None:
+            guesses = np.delete(guesses, np.argsort(np.abs(guesses), kind="stable")[:k])
+        found = _solve(p.coeffs[k:], guesses)
+        roots, residuals = np.concatenate([found[0], roots]), np.concatenate([found[1], residuals])
+    order = np.lexsort((roots.imag, roots.real))
+    return roots[order], residuals[order]
+
+
+def _solve(coeffs: np.ndarray, guesses) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and checks of :func:`find_roots`, for coefficients with
+    a_0 != 0; roots and residuals unsorted."""
+    d = len(coeffs) - 1
+    basis = _coeff_rows(coeffs)
     found = None if guesses is None else _aberth(basis, guesses, ROOT_TOL)
     if found is None:
-        found = _aberth(basis, _polygon_guesses(p.coeffs), ROOT_TOL)
+        found = _aberth(basis, _polygon_guesses(coeffs), ROOT_TOL)
     if found is None:
-        eigen = np.roots(p.coeffs[::-1])
+        eigen = np.roots(coeffs[::-1])
         found = _aberth(basis, eigen, ROOT_TOL)
         if found is None:
             found = _polish(basis, eigen, ROOT_TOL)
@@ -193,13 +204,12 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
             f"root polishing stalled at relative residual {residuals.max():.3e} "
             f"(bound {ROOT_TOL:.3e}, degree {d})"
         )
-    if not _vieta_holds(p.coeffs, roots):
+    if not _vieta_holds(coeffs, roots):
         raise RootFindingError(
             f"polished roots do not sum to -a_{{d-1}} / a_d (degree {d}): "
             "they are not the full root set"
         )
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order], residuals[order]
+    return roots, residuals
 
 
 def _aberth(basis, guesses, tol_root: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -208,13 +218,18 @@ def _aberth(basis, guesses, tol_root: float) -> tuple[np.ndarray, np.ndarray] | 
     Each step moves every root z_k that has not yet met the relative
     residual bound twice in a row by N_k / (1 - N_k S_k), with the Newton
     step N_k = p(z_k) / p'(z_k) (both from :func:`_evaluate`) and the
-    repulsion S_k = sum_{j != k} 1 / (z_k - z_j), at O(d^2) cost.  Once all
-    meet the bound, returns the roots and each one's relative residual
-    from its last evaluation, which was at its final position: a root stops
-    unmoved.  Returns None when the guesses are not one finite estimate per
-    root, an iterate turns non-finite, the bound is still missed after
-    ``_ABERTH_MAX_ITER`` steps, or the roots' sum misses -a_{d-1} / a_d
-    (Vieta), as it does when two estimates converged onto one simple root.
+    repulsion S_k = sum_{j != k} 1 / (z_k - z_j), at O(d^2) cost.
+    :func:`_repulsion` forms S_k, with z = x + iy and r_kj = 1 / |z_k -
+    z_j|^2, as (x_k sum_j r_kj - sum_j r_kj x_j) - i (y_k sum_j r_kj -
+    sum_j r_kj y_j): one reciprocal pass, one row sum and two real
+    matrix-vector products, rounded to within d eps max|z| sum_j r_kj.
+    Once all meet the bound, returns the roots and each one's relative
+    residual from its last evaluation, which was at its final position: a
+    root stops unmoved.  Returns None when the guesses are not one finite
+    estimate per root, an iterate turns non-finite, the bound is still
+    missed after ``_ABERTH_MAX_ITER`` steps, or the roots' sum misses
+    -a_{d-1} / a_d (Vieta), as it does when two estimates converged onto
+    one simple root.
     """
     coeffs = basis[0][0]
     d = len(coeffs) - 1
@@ -241,17 +256,34 @@ def _aberth(basis, guesses, tol_root: float) -> tuple[np.ndarray, np.ndarray] | 
             # converged roots stay put; the rest still feel their repulsion
             newton = newton[go]
             active, za = active[go], za[go]
-            dr = np.subtract.outer(za.real, z.real)
-            di = np.subtract.outer(za.imag, z.imag)
-            dist2 = dr * dr + di * di
-            dist2[np.arange(len(active)), active] = np.inf
-            repulsion = (dr / dist2).sum(axis=1) - 1j * (di / dist2).sum(axis=1)
-            z[active] = za - newton / (1.0 - newton * repulsion)
+            z[active] = za - newton / (1.0 - newton * _repulsion(z, active))
             if not np.isfinite(z[active]).all():
                 return None
     if not _vieta_holds(coeffs, z):
         return None
     return z, residuals
+
+
+def _repulsion(z: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """S_k = sum_{j != k} 1 / (z_k - z_j) for each k in ``active``.
+
+    1 / (z_k - z_j) = r_kj (x_k - x_j - i (y_k - y_j)) with z = x + iy and
+    r_kj = 1 / |z_k - z_j|^2 (r_kk = 0), so the sum splits into one row sum
+    of r and two real matrix-vector products; the rounding error stays
+    within d eps max|z| sum_j r_kj, d = len(z).  Coinciding estimates give
+    a non-finite S_k.
+    """
+    x, y = z.real.copy(), z.imag.copy()
+    xa, ya = x[active], y[active]
+    r = np.subtract.outer(xa, x)
+    r *= r
+    dy = np.subtract.outer(ya, y)
+    dy *= dy
+    r += dy
+    r[np.arange(len(active)), active] = np.inf
+    np.reciprocal(r, out=r)
+    total = r.sum(axis=1)
+    return (xa * total - r @ x) - 1j * (ya * total - r @ y)
 
 
 def _vieta_holds(coeffs: np.ndarray, z: np.ndarray) -> bool:
@@ -378,18 +410,23 @@ def _polish(basis, guesses: np.ndarray, tol_root: float):
 @dataclass(frozen=True, eq=False)
 class RootSlice:
     """Root data of one slice: the roots in v at a fixed sample point u, and
-    the slope dv/du of the zero sheet through each of them."""
+    the slope dv/du of the zero sheet through each of them.  ``clustered``
+    (two roots closer than ``CLUSTER_TOL``) is computed when first read,
+    since the search never reads it."""
 
     u: complex
     leading_coeff: complex
     roots: np.ndarray
     residuals: np.ndarray
     slopes: np.ndarray
-    clustered: bool
 
     @property
     def count(self) -> int:
         return len(self.roots)
+
+    @cached_property
+    def clustered(self) -> bool:
+        return _min_separation(self.roots) < CLUSTER_TOL
 
 
 def slice_roots(P: BivariatePoly, u: complex, *, guesses=None) -> RootSlice:
@@ -411,7 +448,6 @@ def slice_roots(P: BivariatePoly, u: complex, *, guesses=None) -> RootSlice:
         roots=roots,
         residuals=residuals,
         slopes=_slopes(P, u, poly.coeffs, roots),
-        clustered=_min_separation(roots) < CLUSTER_TOL,
     )
 
 

@@ -47,6 +47,18 @@ def exact_model(seed: int = 3, fw: int = 12, fh: int = 12, m: int = 2, n: int = 
     return f, h, convolve(f, h)
 
 
+def residual_scale(coeffs: np.ndarray, z):
+    """Evaluation magnitude ``sum_y |a_y| |z|^y``, the smallest scale at which
+    a Horner residual at z is meaningful in double precision.  z may be a
+    scalar or an array of points.  The solvers take their relative residual
+    from ``zpoly._evaluate`` instead; this is the reference scale against
+    which tests check roots by plain Horner evaluation."""
+    r, scale = np.abs(z), 0.0
+    for m in np.abs(coeffs)[::-1]:
+        scale = scale * r + m
+    return scale
+
+
 def unit_sum(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return a / a.sum()

@@ -18,6 +18,7 @@ from helpers import (
     protocol_config,
     protocol_data,
     reports_equal,
+    residual_scale,
     unit_sum,
 )
 from zerosheet import (
@@ -43,7 +44,7 @@ from zerosheet import (
     unit_point,
     ztransform,
 )
-from zerosheet.zpoly import ROOT_TOL, residual_scale
+from zerosheet.zpoly import ROOT_TOL
 
 
 @contextmanager

@@ -46,7 +46,8 @@ def test_bench_pairs_summary():
     runs.append(bench_record("large", 1, "parent", 1.0, 44.0, failed=1))
     runs.append(bench_record("large", 1, "change", 0.5, 43.0, correct=False))
     summary = summarize(runs, {"op_s.p50": "lower", "peak_rss_mb": "lower",
-                               "kernels_per_s": "higher"})
+                               "kernels_per_s": "higher"},
+                        {"op_s.p50": 0.25, "peak_rss_mb": 0.001, "kernels_per_s": 0.25})
 
     op = summary["fallback"]["op_s.p50"]
     assert summary["fallback"]["pairs"] == 5
@@ -56,12 +57,59 @@ def test_bench_pairs_summary():
     # the tie in pair 3 counts for neither side
     assert op["change_wins"] == "3/5"
     assert op["median_change_rel"] == pytest.approx(0.12 / 0.32 - 1)
-    assert summary["fallback"]["peak_rss_mb"]["change_wins"] == "0/5"
+    # 3 of 5 wins is short of 9 in 10, though the medians differ by 0.20
+    # against the parent's interquartile range of 0.02
+    assert op["claim_met"] is False
+    assert op["within_bound"] is True
+    rss = summary["fallback"]["peak_rss_mb"]
+    assert rss["change_wins"] == "0/5" and rss["claim_met"] is False
+    # the change's median, 41.3 MB, is worse than the parent's 41.0 MB by
+    # more than 0.001 of it; the parent's spread is 0, narrower than that
+    assert rss["within_bound"] is False
     # a metric no run reports is left out
     assert "kernels_per_s" not in summary["fallback"]
     assert summary["fallback"]["failed_share"] == {"parent": [0.0], "change": [0.0]}
     assert summary["fallback"]["all_correct"] is True
 
-    assert summary["large"]["op_s.p50"]["change_wins"] == "1/1"
+    large = summary["large"]["op_s.p50"]
+    assert large["change_wins"] == "1/1"
+    assert large["claim_met"] is True and large["within_bound"] is True
     assert summary["large"]["failed_share"] == {"parent": [0.25], "change": [0.0]}
     assert summary["large"]["all_correct"] is False
+
+
+def test_bench_pairs_verdicts():
+    # ten pairs: the change wins nine, and how far its median moves decides
+    # the claim; how wide the parent spreads decides whether the bound holds
+    summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
+
+    def verdict(parent, change, bound=0.05, sense="lower"):
+        runs = []
+        for pair, (p, c) in enumerate(zip(parent, change), start=1):
+            runs.append(bench_record("large", pair, "parent", p, 40.0))
+            runs.append(bench_record("large", pair, "change", c, 40.0))
+        entry = summarize(runs, {"op_s.p50": sense}, {"op_s.p50": bound})["large"]["op_s.p50"]
+        return entry["change_wins"], entry["claim_met"], entry["within_bound"]
+
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    # parent median 1.045, interquartile range 1.0675 - 1.0225 = 0.045
+    faster = [p - 0.10 for p in parent[:9]] + [1.10]
+    assert verdict(parent, faster) == ("9/10", True, True)
+    # nine wins by 0.02 each leave the medians 0.02 apart, inside the range
+    close = [p - 0.02 for p in parent[:9]] + [1.10]
+    assert verdict(parent, close) == ("9/10", False, True)
+    # eight wins are not enough however far the median moves
+    eight = [p - 0.10 for p in parent[:8]] + [1.10, 1.10]
+    assert verdict(parent, eight)[:2] == ("8/10", False)
+    # 10% slower is outside a 5% bound and inside a 25% one
+    slower = [p * 1.10 for p in parent]
+    assert verdict(parent, slower) == ("0/10", False, False)
+    assert verdict(parent, slower, bound=0.25)[2] is True
+    # a parent that spreads by more than the bound cannot show it held,
+    # unless every run of the change reads better than every parent run
+    assert verdict(parent, parent, bound=0.01)[2] == "unresolved"
+    assert verdict(parent, [p - 0.02 for p in parent], bound=0.01)[2] == "unresolved"
+    assert verdict(parent, [p - 0.10 for p in parent], bound=0.01)[2] is True
+    # for a higher-is-better metric the same numbers read the other way
+    assert verdict(parent, slower, bound=0.25, sense="higher") == ("10/10", True, True)
+

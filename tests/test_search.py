@@ -50,7 +50,6 @@ def make_slice(roots, u=1.0, slopes=0.0):
         roots=roots,
         residuals=np.zeros(len(roots)),
         slopes=np.broadcast_to(np.asarray(slopes, dtype=complex), roots.shape),
-        clustered=False,
     )
 
 
@@ -841,6 +840,30 @@ class TestSearchImage:
             assert rep.best is not None, seed
             truth = unit_sum(matrix_from_image(h))
             assert np.max(np.abs(rep.best.h - truth)) <= 1e-9, seed
+
+
+    @pytest.mark.parametrize("zero, m, axis", [(2, 2, Axis.V), (3, 2, Axis.V), (2, 3, Axis.U)])
+    def test_zero_border_solves_without_eigenvalues(self, monkeypatch, zero, m, axis):
+        # k zero top rows (zero left columns for a U search, which runs on
+        # the transposed image) make the k lowest coefficients of every
+        # slice exactly 0: a k-fold root at 0, split off before Aberth,
+        # whose k starts at 0 would otherwise divide 0 by 0 and send every
+        # slice to the eigenvalues
+        pixels = synth_image(40, 40, 12).pixels.copy()
+        if axis is Axis.V:
+            pixels[:zero] = 0.0
+        else:
+            pixels[:, :zero] = 0.0
+        h = synth_blur(m, 2, 1012)
+        eigen = []
+        real_roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: eigen.append(len(c)) or real_roots(c))
+        rep = search_image(convolve(Image(pixels), h),
+                           SearchConfig(blur_m=m, blur_n=2, phase_step=0.32))
+        assert eigen == [] and rep.axis is axis
+        assert np.max(np.abs(rep.best.h - unit_sum(matrix_from_image(h)))) <= 1e-9
+        assert rep.slices
+        assert all(np.count_nonzero(roots == 0) == zero for roots in rep.slices.values())
 
 
 class TestPredictedTracking:

@@ -1,4 +1,5 @@
 import cmath
+import math
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_model, protocol_data
+from helpers import exact_model, protocol_data, residual_scale
 import zerosheet.zpoly
 from zerosheet import (
     Image,
@@ -35,7 +36,7 @@ from zerosheet.zpoly import (
     _min_separation,
     _polish,
     _polygon_guesses,
-    residual_scale,
+    _repulsion,
 )
 
 ONES2 = Image([[1.0, 1.0], [1.0, 1.0]])
@@ -173,10 +174,34 @@ class TestFindRoots:
         assert sorted(np.round(roots.real, 4).tolist()) == [-2.0, 1.0, 1.0]
 
     def test_root_at_zero(self):
-        # a_0 = 0 makes the residual scale 0 at the exact root z = 0, where
-        # p(0) = 0 too; the relative residual there is 0, not 0/0
+        # a_0 = 0 is a root at exactly z = 0, with relative residual 0
         roots, residuals = find_roots(UniPoly([0.0, -1.0, 1.0]))
         assert roots.tolist() == [0.0, 1.0] and residuals.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_low_order_coefficients(self, k, monkeypatch):
+        # k zero low-order coefficients are a k-fold root at 0, returned
+        # exactly with residual 0; the other roots solve by Aberth alone,
+        # cold and from guesses whose k smallest in modulus are dropped
+        others = separated_roots(6, 5)
+        p = UniPoly(np.concatenate([np.zeros(k), elementary_symmetric_coeffs(others)]))
+        guesses = np.concatenate([1e-3 * np.arange(1, k + 1), others * (1 + 1e-4)])
+        cold_starts = []
+        polygon = zerosheet.zpoly._polygon_guesses
+        monkeypatch.setattr(zerosheet.zpoly, "_polygon_guesses",
+                            lambda c: cold_starts.append(len(c)) or polygon(c))
+        patch, eigen = count_eigen_solves()
+        with patch:
+            solved = [find_roots(p), find_roots(p, guesses=guesses)]
+        assert eigen == [] and cold_starts == [6]
+        for roots, residuals in solved:
+            zero = roots == 0
+            assert zero.sum() == k and np.all(residuals[zero] == 0)
+            assert np.abs(np.sort_complex(roots[~zero]) - np.sort_complex(others)).max() <= 1e-12
+
+    def test_all_roots_at_zero(self):
+        roots, residuals = find_roots(UniPoly([0.0, 0.0, 0.0, 2.0]))
+        assert roots.tolist() == [0.0] * 3 and residuals.tolist() == [0.0] * 3
 
     def test_cluster_flag(self):
         g = np.array([0.5, 0.5 + 1e-8, -1.0])
@@ -273,6 +298,39 @@ class TestWarmStart:
             for rs in solved:
                 assert rs.clustered
                 assert np.abs(rs.roots[:, None] - g[None, :]).min(axis=0).max() <= CLUSTER_TOL
+
+
+class TestRepulsion:
+    def test_matches_the_double_loop(self):
+        # S_k = sum_{j != k} 1 / (z_k - z_j) against the explicit double loop
+        # (terms summed exactly by fsum), on 40 sets of 2-127 roots with
+        # pairs 1e-6 and 1e-9 apart and a third of the roots scaled by 1e5,
+        # for all roots and for a random subset; the error stays within
+        # d eps max|z| sum_j 1 / |z_k - z_j|^2
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            d = int(rng.integers(2, 128))
+            z = rng.normal(size=d) + 1j * rng.normal(size=d)
+            if d >= 4:
+                z[1] = z[0] + 1e-6 * np.exp(2j * np.pi * rng.random())
+                z[3] = z[2] + 1e-9 * np.exp(2j * np.pi * rng.random())
+            z[rng.permutation(d)[: d // 3]] *= 1e5
+            subset = np.sort(rng.permutation(d)[: int(rng.integers(1, d + 1))])
+            for active in (np.arange(d), subset):
+                got = _repulsion(z, active)
+                assert got.shape == (len(active),)
+                for s, k in zip(got, active):
+                    terms = [1 / (z[k] - z[j]) for j in range(d) if j != k]
+                    loop = complex(math.fsum(t.real for t in terms),
+                                   math.fsum(t.imag for t in terms))
+                    weight = sum(1 / abs(z[k] - z[j]) ** 2 for j in range(d) if j != k)
+                    assert abs(s - loop) <= d * EPS * np.abs(z).max() * weight
+
+    def test_coinciding_estimates_are_not_finite(self):
+        z = np.array([0.5 + 0.5j, 0.5 + 0.5j, -1.0])
+        with np.errstate(all="ignore"):
+            got = _repulsion(z, np.arange(3))
+        assert not np.isfinite(got[:2]).any() and np.isfinite(got[2])
 
 
 def horner_pair(coeffs, z):
