@@ -301,10 +301,9 @@ def save_csv(img: Image, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _numbered_lines(path) -> list[tuple[int, str]]:
-    """The file's non-blank lines, stripped, with their 1-based line numbers."""
-    text = Path(path).read_text(encoding="ascii")
-    return [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+def _numbered_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """The non-blank lines, stripped, with their 1-based line numbers."""
+    return [(lineno, ln.strip()) for lineno, ln in enumerate(lines, 1) if ln.strip()]
 
 
 def _parse_row(lineno: int, line: str) -> list[float]:
@@ -317,14 +316,43 @@ def _parse_row(lineno: int, line: str) -> list[float]:
     return row
 
 
-def load_csv(path) -> Image:
-    rows = [_parse_row(lineno, line) for lineno, line in _numbered_lines(path)]
+def _parse_image_lines(lines: list[str]) -> np.ndarray:
+    """The line-by-line reading of :func:`load_csv`, one ``float`` per entry."""
+    rows = [_parse_row(lineno, line) for lineno, line in _numbered_lines(lines)]
     if not rows:
         raise CsvFormatError("CSV image file holds no rows")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise CsvFormatError("CSV rows have inconsistent lengths")
-    return Image(np.array(rows))
+    return np.array(rows)
+
+
+def load_csv(path) -> Image:
+    """Read an image written by :func:`save_csv`: one line per row,
+    comma-separated finite numbers, each as Python's ``float`` reads it.
+
+    Blank and whitespace-only lines are skipped and whitespace around an
+    entry is ignored.  An empty file, a non-numeric or non-finite entry, or
+    rows of unequal length raise :class:`CsvFormatError`, naming the line
+    for a bad entry.  numpy's compiled reader parses the lines; any line it
+    cannot read, and any non-finite value, sends the file through the
+    line-by-line reader instead, so both accept the same files with the
+    same values and the errors come from one place.
+    """
+    text = Path(path).read_text(encoding="ascii")
+    lines = text.splitlines()
+    # numpy's reader warns on a file with no data (an error where warnings
+    # are made errors) and takes \x1f around an entry for whitespace, which
+    # float() refuses: the line parser reads such files
+    if text.strip() and "\x1f" not in text:
+        try:
+            arr = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return Image(arr)
+    return Image(_parse_image_lines(lines))
 
 
 def load_image(path) -> Image:
@@ -345,7 +373,7 @@ def save_matrix_csv(mat, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    lines = _numbered_lines(path)
+    lines = _numbered_lines(Path(path).read_text(encoding="ascii").splitlines())
     if not lines:
         raise CsvFormatError("matrix CSV file is empty")
     header = lines[0][1]

@@ -3,7 +3,9 @@
 The primary route divides the DFT of the observed image by the DFT of the
 zero-padded blur and inverse-transforms; because the observed size equals
 the full-convolution size, circular and linear convolution coincide and the
-division is exact for noise-free data.  A blur whose transform nearly
+division is exact for noise-free data.  Image and blur are real, so every
+transform is a real-input one, whose half spectrum holds every value of the
+full spectrum up to complex conjugation.  A blur whose transform nearly
 vanishes somewhere on the DFT grid makes that division unstable, so an
 independent least-squares route (CGLS on the convolution and its adjoint)
 backs it up.  CGLS starts from division on a zero-padded grid a few
@@ -91,16 +93,19 @@ def _check_restore_inputs(g: Image, h: Image) -> None:
 
 
 def _grid_transform_ratio(h: Image, shape: tuple[int, int]) -> tuple[np.ndarray, float]:
-    padded = np.zeros(shape)
-    padded[: h.height, : h.width] = h.pixels
-    H = np.fft.fft2(padded)
+    """The real-input transform of the blur zero-padded to ``shape`` (half
+    the spectrum, which holds every |H| of a real blur), and its
+    min|H|/max|H|."""
+    H = np.fft.rfft2(h.pixels, s=shape)
     mags = np.abs(H)
     return H, float(mags.min() / mags.max())
 
 
-def _divide(g: Image, H: np.ndarray, fh: int, fw: int) -> np.ndarray:
-    """g divided by the blur transform H on H's grid, cropped to fh x fw."""
-    return np.fft.ifft2(np.fft.fft2(g.pixels, s=H.shape) / H).real[:fh, :fw]
+def _divide(g: Image, H: np.ndarray, shape: tuple[int, int], fh: int, fw: int) -> np.ndarray:
+    """g divided by the blur's real-input transform H on the grid ``shape``,
+    cropped to fh x fw.  The shape is passed since H's width does not tell
+    an odd grid width from the even one below it."""
+    return np.fft.irfft2(np.fft.rfft2(g.pixels, s=shape) / H, s=shape)[:fh, :fw]
 
 
 def _forward_residual(f: Image, h: Image, g: Image) -> float:
@@ -113,15 +118,19 @@ def _forward_residual(f: Image, h: Image, g: Image) -> float:
 def spectral_restore(g: Image, h: Image) -> RestorationResult:
     """Restore by DFT division; exact on noise-free full-convolution data.
 
-    Raises :class:`DivisionUnstableError` when the blur transform dips
-    below ``UNSTABLE_TOL`` (relative) anywhere on the grid, in which case
+    Divides real-input transforms (``rfft2``, back by ``irfft2``) on the
+    observed image's grid; ``min_H_on_grid`` is read off the blur's half
+    spectrum, which holds every |H| of the full grid.  Raises
+    :class:`DivisionUnstableError` when the blur transform dips below
+    ``UNSTABLE_TOL`` (relative) anywhere on the grid, in which case
     :func:`least_squares_restore` is the safe route.
     """
     _check_restore_inputs(g, h)
-    H, min_ratio = _grid_transform_ratio(h, g.pixels.shape)
+    shape = g.pixels.shape
+    H, min_ratio = _grid_transform_ratio(h, shape)
     if min_ratio < UNSTABLE_TOL:
         raise DivisionUnstableError(min_ratio)
-    out = Image(_divide(g, H, g.height - h.height + 1, g.width - h.width + 1))
+    out = Image(_divide(g, H, shape, g.height - h.height + 1, g.width - h.width + 1))
     return RestorationResult(
         image=out,
         method=RestoreMethod.SPECTRAL,
@@ -135,17 +144,18 @@ def _warm_start(g: Image, h: Image, fh: int, fw: int) -> tuple[np.ndarray | None
     furthest from zero, or None when no grid tried is stable; and the
     min|H|/max|H| of the unpadded grid.
     """
-    best_H, best_ratio = None, -1.0
+    best_H, best_shape, best_ratio = None, None, -1.0
     for dy in range(_WARM_GRID_PAD + 1):
         for dx in range(_WARM_GRID_PAD + 1):
-            H, ratio = _grid_transform_ratio(h, (g.height + dy, g.width + dx))
+            shape = (g.height + dy, g.width + dx)
+            H, ratio = _grid_transform_ratio(h, shape)
             if dy == dx == 0:
                 min_ratio = ratio
             if ratio > best_ratio:
-                best_H, best_ratio = H, ratio
+                best_H, best_shape, best_ratio = H, shape, ratio
     if best_ratio < UNSTABLE_TOL:
         return None, min_ratio
-    return _divide(g, best_H, fh, fw), min_ratio
+    return _divide(g, best_H, best_shape, fh, fw), min_ratio
 
 
 def least_squares_restore(g: Image, h: Image) -> RestorationResult:

@@ -85,7 +85,9 @@ def ztransform(img: Image) -> BivariatePoly:
 
 @dataclass(frozen=True, eq=False)
 class UniPoly:
-    """Univariate complex polynomial, ascending coefficients, trailing-trimmed."""
+    """Univariate complex polynomial, ascending coefficients; the last is
+    the leading one.  Not trimmed here: :func:`slice_in_v` trims the slices
+    it returns, and :func:`find_roots` rejects a zero leading coefficient."""
 
     coeffs: np.ndarray
 
@@ -170,10 +172,13 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
     part; raises :class:`RootFindingError` if any root misses the bound or
     the roots, whichever start they came from, do not sum to
     -a_{d-1} / a_d (Vieta): small residuals alone do not make a root set.
+    Raises ValueError for degree 0 or a zero leading coefficient a_d.
     """
     d = p.effective_degree
     if d < 1:
         raise ValueError("find_roots requires effective degree >= 1")
+    if p.coeffs[-1] == 0:
+        raise ValueError("find_roots requires a non-zero leading coefficient")
     k = int(np.argmax(p.coeffs != 0))
     roots, residuals = np.zeros(k, dtype=np.complex128), np.zeros(k)
     if k < d:
@@ -187,7 +192,7 @@ def find_roots(p: UniPoly, *, guesses=None) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve(coeffs: np.ndarray, guesses) -> tuple[np.ndarray, np.ndarray]:
     """The starts and checks of :func:`find_roots`, for coefficients with
-    a_0 != 0; roots and residuals unsorted."""
+    a_0 != 0 and a_d != 0; roots and residuals unsorted."""
     d = len(coeffs) - 1
     basis = _coeff_rows(coeffs)
     found = None if guesses is None else _aberth(basis, guesses, ROOT_TOL)
@@ -302,10 +307,12 @@ def _polygon_guesses(coeffs: np.ndarray) -> np.ndarray:
     Bini, Numerical Algorithms 13, 1996).
     """
     d = len(coeffs) - 1
-    ys = np.flatnonzero(coeffs)
-    if not ys.size:
+    nonzero = np.flatnonzero(coeffs)
+    if not nonzero.size:
         return np.empty(0, dtype=np.complex128)
-    logs = np.log(np.abs(coeffs[ys]))
+    # the hull walk reads single entries, which Python floats serve faster
+    # than numpy scalars
+    ys, logs = nonzero.tolist(), np.log(np.abs(coeffs[nonzero])).tolist()
     hull: list[int] = []
     for c in range(len(ys)):
         while len(hull) >= 2:
@@ -359,14 +366,13 @@ def _evaluate(basis, z: np.ndarray):
     p(z) = z^d r(w) with r(w) = sum_y a_{d-y} w^y: the residual is |r(w)| /
     sum_y |a_{d-y}| |w|^y and the step z r / s, s(w) = d r - w r' = sum_y
     (d - y) a_{d-y} w^y.  One matrix of powers (:func:`_inverted_powers`)
-    serves all rows of :func:`_coeff_rows`."""
+    serves all rows of :func:`_coeff_rows`.  Neither residual scale is 0,
+    since a_0 and a_d are non-zero (see :func:`_solve`)."""
     rows, mags = basis
     out, pows = _inverted_powers(z, rows.shape[1] - 1)
     vals, scales = rows @ pows, mags @ np.abs(pows)
     f, df = np.where(out, vals[2:], vals[:2])
-    scale = np.where(out, scales[1], scales[0])
-    # scale is 0 only where every term of p is, as at z = 0 when a_0 = 0
-    residual = np.divide(np.abs(f), scale, out=np.zeros(len(z)), where=scale > 0)
+    residual = np.abs(f) / np.where(out, scales[1], scales[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(out, z, 1.0) * f / df
     return residual, step

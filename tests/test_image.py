@@ -1,8 +1,13 @@
+import math
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zerosheet.image
 from zerosheet import (
     CsvFormatError,
     Image,
@@ -289,3 +294,162 @@ class TestCsv:
         path.write_text("2,3\n1,2,3\n")
         with pytest.raises(CsvFormatError):
             load_matrix_csv(path)
+
+
+def line_parser_load_csv(path) -> np.ndarray:
+    """Reference: the line-by-line CSV image reader, one ``float`` per entry."""
+    text = Path(path).read_text(encoding="ascii")
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.strip().split(",")]
+        except ValueError:
+            raise CsvFormatError(f"line {lineno}: non-numeric entry") from None
+        if not all(map(math.isfinite, row)):
+            raise CsvFormatError(f"line {lineno}: non-finite entry")
+        rows.append(row)
+    if not rows:
+        raise CsvFormatError("CSV image file holds no rows")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise CsvFormatError("CSV rows have inconsistent lengths")
+    return np.array(rows)
+
+
+def load_csv_pixels(path) -> np.ndarray:
+    return load_csv(path).pixels
+
+
+def outcome(read, path):
+    """The array read, as (shape, bytes), or the error's type and message."""
+    try:
+        a = read(path)
+    except (CsvFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return a.shape, a.tobytes()
+
+
+def count_line_parses(monkeypatch) -> list:
+    """Record each time load_csv falls back to its line-by-line reader."""
+    calls = []
+    real = zerosheet.image._parse_image_lines
+    monkeypatch.setattr(zerosheet.image, "_parse_image_lines",
+                        lambda lines: calls.append(len(lines)) or real(lines))
+    return calls
+
+
+def extreme_values() -> np.ndarray:
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((7, 9)) * 10.0 ** rng.integers(-300, 300, (7, 9))
+    a[0, :5] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308]
+    return a
+
+
+# Files numpy's reader takes as they are, with the values Python's float reads.
+READER_ACCEPTS = {
+    "spaces": " 1 , 2.5 \n 3 ,4\n",
+    "tabs": "\t1\t,2\n3,\t4\t\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "lone cr": "1,2\r3,4\r",
+    "no final newline": "1,2\n3,4",
+    "blank lines": "\n1,2\n\n\n3,4\n\n",
+    "exponents": "1e5,2E-3,-4.5e+07\n+.5e+1,-5.,1E0\n",
+    "one value": "7\n",
+    "one column": "1\n-2\n3e-1\n",
+    "form feed ends a line": "1,2\x0c3,4\n",
+}
+# Files numpy's reader refuses but the line parser accepts.
+LINE_PARSER_ACCEPTS = {
+    "whitespace-only lines": "1,2\n   \n\t\n3,4\n",
+    "underscore": "1_0,2\n3,4_5\n",
+    # str.strip takes \x1f for whitespace at a line's ends, as numpy's
+    # reader does around every entry
+    "unit separator at line ends": "\x1f1,2\x1f\n3,4\n",
+}
+# Rejected files and the error each raises, line numbers counted physically.
+REJECTED = {
+    "non-numeric": ("1,2\n\n3,x\n", "line 3: non-numeric entry"),
+    "nan": ("1,2\nnan,3\n", "line 2: non-finite entry"),
+    "inf": ("1,2\n\n3,-inf\n", "line 3: non-finite entry"),
+    "overflow": ("1e999,2\n", "line 1: non-finite entry"),
+    "ragged": ("1,2\n3\n", "CSV rows have inconsistent lengths"),
+    "empty": ("", "CSV image file holds no rows"),
+    "blank only": ("\n  \n\t\r\n", "CSV image file holds no rows"),
+    "trailing comma": ("1,2\n3,4,\n", "line 2: non-numeric entry"),
+    "quotes": ('1,2\n"3",4\n', "line 2: non-numeric entry"),
+    "comment line": ("# a comment\n1,2\n", "line 1: non-numeric entry"),
+    "comment after values": ("1,2 # a comment\n", "line 1: non-numeric entry"),
+    # given the whole file, numpy's reader would take the vertical tab for
+    # whitespace inside a field, where the line parser ends the line
+    "vertical tab ends a line": ("1,\x0b2\n3,4\n", "line 1: non-numeric entry"),
+    # float() refuses \x1f around an entry, where numpy's reader skips it
+    "unit separator inside a line": ("1,2\n3,\x1f4\n", "line 2: non-numeric entry"),
+    "hex": ("0x10,2\n", "line 1: non-numeric entry"),
+    "semicolon": ("1;2\n", "line 1: non-numeric entry"),
+    "nul": ("1\x00,2\n", "line 1: non-numeric entry"),
+}
+
+
+class TestCsvReader:
+    """load_csv reads with numpy's compiled reader and falls back to the line
+    parser; both must agree bit for bit with the line parser alone."""
+
+    @staticmethod
+    def both(tmp_path, text: str):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("ascii"))
+        return outcome(load_csv_pixels, path), outcome(line_parser_load_csv, path)
+
+    def test_zsbench_inputs(self, tmp_path, monkeypatch):
+        workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "zsbench"
+                                       / "workloads.py"))
+        parses = count_line_parses(monkeypatch)
+        for name, wl in workloads["WORKLOADS"].items():
+            for case in wl.cases():
+                path = tmp_path / f"{name}-{case.name}.csv"
+                workloads["write_csv"](case.observed, path)
+                got = load_csv(path).pixels
+                assert got.tobytes() == case.observed.tobytes(), path.name
+                assert outcome(line_parser_load_csv, path) == (got.shape, got.tobytes())
+        assert parses == []
+
+    def test_extreme_values(self, tmp_path, monkeypatch):
+        parses = count_line_parses(monkeypatch)
+        save_csv(Image(extreme_values()), tmp_path / "x.csv")
+        got, want = outcome(load_csv_pixels, tmp_path / "x.csv"), extreme_values()
+        assert got == (want.shape, want.tobytes())
+        assert got == outcome(line_parser_load_csv, tmp_path / "x.csv")
+        assert parses == []
+
+    @pytest.mark.parametrize("text", READER_ACCEPTS.values(), ids=READER_ACCEPTS)
+    def test_reader_accepts(self, tmp_path, monkeypatch, text):
+        parses = count_line_parses(monkeypatch)
+        got, want = self.both(tmp_path, text)
+        assert isinstance(got[1], bytes) and got == want
+        assert parses == []
+
+    @pytest.mark.parametrize("text", LINE_PARSER_ACCEPTS.values(), ids=LINE_PARSER_ACCEPTS)
+    def test_line_parser_accepts(self, tmp_path, monkeypatch, text):
+        parses = count_line_parses(monkeypatch)
+        got, want = self.both(tmp_path, text)
+        assert isinstance(got[1], bytes) and got == want
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("text, message", REJECTED.values(), ids=REJECTED)
+    def test_rejected(self, tmp_path, text, message):
+        got, want = self.both(tmp_path, text)
+        assert got == want == ("CsvFormatError", message)
+
+    def test_non_ascii(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_bytes("1,2\n3,\u00b54\n".encode("utf-8"))
+        got, want = outcome(load_csv_pixels, path), outcome(line_parser_load_csv, path)
+        assert got == want and got[0] == "UnicodeDecodeError"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789.,,,\n\n\r eE+-_ \t\x0b\x0c\x1c\x1fnaif#\"\x00",
+                   max_size=24))
+    def test_agrees_on_any_text(self, tmp_path_factory, text):
+        got, want = self.both(tmp_path_factory.mktemp("fuzz"), text)
+        assert got == want

@@ -1,5 +1,7 @@
+import runpy
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +261,88 @@ class TestWarmStart:
         assert warm_calls <= len(calls) + 2
         want = 100.0 * weight * Vt[-1].reshape(fh, fw)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(g.pixels))
+
+
+def complex_transform(h: Image, shape) -> np.ndarray:
+    """Reference for the restore layer's transforms: the full complex FFT of
+    the blur zero-padded to ``shape``."""
+    padded = np.zeros(shape)
+    padded[: h.height, : h.width] = h.pixels
+    return np.fft.fft2(padded)
+
+
+def complex_ratio(h: Image, shape) -> float:
+    mags = np.abs(complex_transform(h, shape))
+    return mags.min() / mags.max()
+
+
+def complex_division(g: Image, h: Image, shape) -> np.ndarray:
+    """g divided by the blur on the grid ``shape`` by complex FFTs, cropped
+    to the sharp image's size."""
+    fh, fw = g.height - h.height + 1, g.width - h.width + 1
+    quotient = np.fft.fft2(g.pixels, s=shape) / complex_transform(h, shape)
+    return np.fft.ifft2(quotient).real[:fh, :fw]
+
+
+def complex_warm_grid(g: Image, h: Image) -> tuple[int, int]:
+    """Reference for the warm start's grid: the first padded grid, row by
+    row, with the largest full-grid min|H|/max|H|."""
+    pad = range(zerosheet.restore._WARM_GRID_PAD + 1)
+    grids = [(g.height + dy, g.width + dx) for dy in pad for dx in pad]
+    return max(grids, key=lambda shape: complex_ratio(h, shape))
+
+
+def zsbench_fallback_case() -> tuple[Image, Image]:
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "zsbench"
+                                   / "workloads.py"))
+    case = workloads["WORKLOADS"]["fallback"].cases()[0]
+    return Image(case.observed), Image(case.kernels[0])
+
+
+# observed sizes (height, width) with every parity of each axis
+PARITY_SHAPES = [(40, 40), (41, 40), (40, 41), (41, 43), (127, 128)]
+
+
+class TestRealTransforms:
+    """Restoration transforms only the real half spectrum; it must agree
+    with full complex FFTs on even and odd grids."""
+
+    @pytest.mark.parametrize("shape", PARITY_SHAPES, ids=str)
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3)])
+    def test_spectral_matches_complex_reference(self, shape, m, n):
+        f = synth_image(shape[1] - m + 1, shape[0] - n + 1, 5)
+        h = synth_blur(m, n, 77)
+        g = convolve(f, h)
+        res = spectral_restore(g, h)
+        want = complex_division(g, h, shape)
+        assert np.max(np.abs(res.image.pixels - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(res.min_H_on_grid - complex_ratio(h, shape)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", PARITY_SHAPES, ids=str)
+    @pytest.mark.parametrize("h", [GRID_NULL, Image([[0.5, 0.25, 0.25]])], ids=["grid-null", "3x1"])
+    def test_warm_start_matches_complex_reference(self, monkeypatch, shape, h):
+        f = synth_image(shape[1] - h.width + 1, shape[0] - h.height + 1, 6)
+        g = convolve(f, h)
+        grids = []
+        real = zerosheet.restore._divide
+        monkeypatch.setattr(zerosheet.restore, "_divide",
+                            lambda g, H, grid, fh, fw: grids.append(grid) or real(g, H, grid, fh, fw))
+        x0, min_ratio = zerosheet.restore._warm_start(g, h, f.height, f.width)
+        assert grids == [complex_warm_grid(g, h)]
+        want = complex_division(g, h, grids[0])
+        assert np.max(np.abs(x0 - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(min_ratio - complex_ratio(h, shape)) <= 1e-14
+
+    def test_zsbench_fallback_kernel_routes_to_least_squares(self, monkeypatch):
+        g, h = zsbench_fallback_case()
+        grids = []
+        real = zerosheet.restore._divide
+        monkeypatch.setattr(zerosheet.restore, "_divide",
+                            lambda g, H, grid, fh, fw: grids.append(grid) or real(g, H, grid, fh, fw))
+        res = restore_with_fallback(g, h)
+        assert res.method is RestoreMethod.LEAST_SQUARES
+        assert res.min_H_on_grid < zerosheet.restore.UNSTABLE_TOL
+        assert grids == [complex_warm_grid(g, h)]
 
 
 class TestFallback:

@@ -1,3 +1,4 @@
+import json
 import runpy
 import subprocess
 import sys
@@ -26,6 +27,37 @@ def test_selectivity_study_smoke():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "true combination" in proc.stdout, proc.stdout
+
+
+def test_detection_matrix_smoke(tmp_path):
+    script = str(SCRIPTS / "detection_matrix.py")
+
+    def run(*args):
+        return subprocess.run([sys.executable, script, *args], capture_output=True, text=True,
+                              env=child_env(), timeout=600)
+
+    out = tmp_path / "a.json"
+    proc = run("--only", "12-2x2-40,sharp-12-2x2", "--json", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "found 1/1" in proc.stdout and "misses: none" in proc.stdout, proc.stdout
+    assert "negative controls: 0/1 accepted" in proc.stdout, proc.stdout
+    searches = json.loads(out.read_text())["searches"]
+    assert searches["sharp-12-2x2"]["combination"] is None
+    assert searches["12-2x2-40"]["found"] and len(searches["12-2x2-40"]["kernel"]) == 2
+
+    proc = run("--compare", str(out), str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 searches, 0 combinations differ" in proc.stdout, proc.stdout
+    assert "largest kernel difference: 0.00e+00" in proc.stdout, proc.stdout
+    # another combination, and a kernel moved by 1e-6, in the second file
+    changed = tmp_path / "b.json"
+    searches["sharp-12-2x2"]["combination"] = [0]
+    searches["12-2x2-40"]["kernel"][0][0] += 1e-6
+    changed.write_text(json.dumps({"searches": searches}))
+    proc = run("--compare", str(out), str(changed))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 combinations differ: sharp-12-2x2" in proc.stdout, proc.stdout
+    assert "largest kernel difference: 1.00e-06" in proc.stdout, proc.stdout
 
 
 def bench_record(workload, pair, side, op_s, rss, trace=0, failed=0, correct=True):

@@ -143,6 +143,14 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(UniPoly([3.0]))
 
+    @pytest.mark.parametrize("coeffs", [[1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_rejects_zero_leading_coefficient(self, coeffs, monkeypatch):
+        # UniPoly does not trim; a zero a_d would divide by zero in the
+        # Vieta check (a warning, hence an error here) after a full solve
+        monkeypatch.setattr(zerosheet.zpoly, "_solve", lambda *a: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="non-zero leading coefficient"):
+            find_roots(UniPoly(coeffs))
+
     def test_deterministic_order(self):
         p = UniPoly(elementary_symmetric_coeffs(separated_roots(3, 6)))
         r1, _ = find_roots(p)
